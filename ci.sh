@@ -70,6 +70,11 @@
 #                                   latency/ANN/loadgen tiers and fails if
 #                                   the committed BENCH_serve.json is
 #                                   missing or below the retrieval contract
+#  15. end-to-end bench smoke     — e2e_bench runs every workload once
+#                                   (exit 1 on any failed output check),
+#                                   then a traced train_full run whose
+#                                   replay must match pretrain's losses bit
+#                                   for bit through the greedy selector
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -256,5 +261,10 @@ rm -f "$ix_a" "$ix_b" "$bench_json"
 echo "==> serve bench smoke: latency/ANN/loadgen quick tiers + recorded baseline"
 cargo run --release --offline -q -p e2gcl-bench --bin serve_latency -- --quick
 test -s target/bench-results/serve_latency_quick.json
+
+echo "==> end-to-end bench smoke: every workload's output checks + traced train_full replay"
+e2e="cargo run --release --offline -q -p e2gcl-bench --bin e2e_bench --"
+$e2e --workload all --seconds 1
+$e2e --workload train_full --trace 1 --seconds 1
 
 echo "CI passed."

@@ -5,7 +5,8 @@ use crate::checkpoint::{restore_params, StepState};
 use crate::config::{MinibatchConfig, TrainConfig};
 use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
 use crate::models::{
-    sample_negative_indices, select_negatives, ContrastiveModel, InfoNceStrategy, PretrainResult,
+    ensure_finite_features, sample_negative_indices, select_negatives, ContrastiveModel,
+    InfoNceStrategy, PretrainResult,
 };
 use e2gcl_graph::SparseMatrix;
 use e2gcl_graph::{norm, CsrGraph, NeighborSampler};
@@ -700,6 +701,8 @@ impl ContrastiveModel for E2gclModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
+        // Before any dispatch: every path below starts with selection.
+        ensure_finite_features(x)?;
         if let Some(mb) = &cfg.minibatch {
             if self.config.view_mode == ViewMode::PerNodeEgo {
                 return Err(TrainError::InvalidConfig(
@@ -984,6 +987,35 @@ mod tests {
         assert!(!out.embeddings.has_non_finite());
         assert_eq!(out.loss_curve.len(), 8);
         assert!(out.total_time >= out.selection_time);
+    }
+
+    #[test]
+    fn non_finite_feature_is_a_typed_error_on_every_entry_point() {
+        let mut d = NodeDataset::generate(&spec("products-sim").unwrap(), 0.02, 4);
+        d.features.set(7, 3, f32::INFINITY);
+        let want = TrainError::NonFiniteFeatures { row: 7, col: 3 };
+        let full = tiny_cfg();
+        let minibatch = TrainConfig {
+            minibatch: Some(MinibatchConfig {
+                batch_nodes: 32,
+                fanout: Some(3),
+            }),
+            ..tiny_cfg()
+        };
+        let per_node = E2gclModel::new(E2gclConfig {
+            view_mode: ViewMode::PerNodeEgo,
+            ..Default::default()
+        });
+        for (model, cfg) in [
+            (E2gclModel::default(), &full),
+            (E2gclModel::default(), &minibatch),
+            (per_node, &full),
+        ] {
+            let err = model
+                .pretrain(&d.graph, &d.features, cfg, &mut SeedRng::new(0))
+                .expect_err("non-finite features must be rejected");
+            assert_eq!(err, want);
+        }
     }
 
     #[test]

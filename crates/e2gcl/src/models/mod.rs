@@ -75,6 +75,18 @@ pub(crate) fn ensure_full_graph_only(cfg: &TrainConfig, model: &str) -> Result<(
     Ok(())
 }
 
+/// Typed rejection for NaN or infinite input features, which would poison
+/// every distance the selector and the encoder compute.
+pub(crate) fn ensure_finite_features(x: &Matrix) -> Result<(), TrainError> {
+    match x.as_slice().iter().position(|v| !v.is_finite()) {
+        Some(at) => Err(TrainError::NonFiniteFeatures {
+            row: at / x.cols(),
+            col: at % x.cols(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Typed rejection for models whose objective is not InfoNCE-shaped:
 /// the sub-quadratic [`crate::config::LossStrategy`] kernels replace the
 /// InfoNCE denominator, so a non-`Full` strategy on such a model fails

@@ -30,6 +30,9 @@ pub enum TrainError {
     /// A forward pass produced NaN or infinite embeddings (the parameters
     /// are already poisoned at this point).
     NonFiniteEmbedding { epoch: usize },
+    /// An input feature is NaN or infinite; `row`/`col` locate the first
+    /// one in row-major order.
+    NonFiniteFeatures { row: usize, col: usize },
     /// A configuration value fails validation (see `TrainConfig::validate`).
     InvalidConfig(String),
     /// A dataset name not present in the registry.
@@ -61,6 +64,9 @@ impl fmt::Display for TrainError {
             }
             TrainError::NonFiniteEmbedding { epoch } => {
                 write!(f, "non-finite embeddings at epoch {epoch}")
+            }
+            TrainError::NonFiniteFeatures { row, col } => {
+                write!(f, "non-finite input feature at row {row}, column {col}")
             }
             TrainError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             TrainError::UnknownDataset { name, valid } => write!(
@@ -140,6 +146,7 @@ mod tests {
         }
         .is_numeric());
         assert!(!TrainError::InvalidConfig("x".into()).is_numeric());
+        assert!(!TrainError::NonFiniteFeatures { row: 0, col: 0 }.is_numeric());
         assert!(!TrainError::Checkpoint("x".into()).is_numeric());
         assert!(!TrainError::UnknownDataset {
             name: "x".into(),

@@ -14,6 +14,13 @@
 //! into an exact per-member term over `u`'s own cluster plus one threshold
 //! query per other cluster — which sorted per-cluster coverage tables answer
 //! in `O(log |C_j|)` each.
+//!
+//! The tables are maintained incrementally. A pick `u` rebuilds only its own
+//! cluster's table; every other cluster `j` sees one threshold
+//! `t_j = ||c_j − R[u]|| + d_j^max`, and the members it lowers are exactly
+//! the table's sorted suffix above `t_j`, which is overwritten with `t_j` in
+//! place. The result equals a from-scratch rebuild bit for bit (DESIGN.md
+//! §17).
 
 use crate::kmeans::Clustering;
 use e2gcl_linalg::{ops, Matrix};
@@ -48,13 +55,44 @@ struct CoverageTable {
 
 impl CoverageTable {
     fn build(values: impl Iterator<Item = f32>) -> CoverageTable {
-        let mut sorted: Vec<f32> = values.collect();
-        sorted.sort_unstable_by(|a, b| a.total_cmp(b));
-        let mut suffix = vec![0.0f64; sorted.len() + 1];
-        for i in (0..sorted.len()).rev() {
-            suffix[i] = suffix[i + 1] + f64::from(sorted[i]);
+        let mut table = CoverageTable {
+            sorted: Vec::new(),
+            suffix: Vec::new(),
+        };
+        table.rebuild(values);
+        table
+    }
+
+    /// Re-sorts the member coverages from scratch, reusing the buffers.
+    fn rebuild(&mut self, values: impl Iterator<Item = f32>) {
+        self.sorted.clear();
+        self.sorted.extend(values);
+        self.sorted.sort_unstable_by(|a, b| a.total_cmp(b));
+        self.suffix.resize(self.sorted.len() + 1, 0.0);
+        self.resum();
+    }
+
+    /// Recomputes `suffix` from `sorted` with the reverse recurrence.
+    fn resum(&mut self) {
+        for i in (0..self.sorted.len()).rev() {
+            self.suffix[i] = self.suffix[i + 1] + f64::from(self.sorted[i]);
         }
-        CoverageTable { sorted, suffix }
+    }
+
+    /// Largest member coverage; `None` for an empty cluster.
+    fn max(&self) -> Option<f32> {
+        self.sorted.last().copied()
+    }
+
+    /// Lowers every entry above `t` to `t`. Those entries are the sorted
+    /// suffix, and a suffix of `t`s after a prefix of values `≤ t` is still
+    /// ascending under `total_cmp` (`t` is never `-0.0`: `d_max` starts at
+    /// `+0.0`). A `total_cmp`-sorted array depends only on the multiset of
+    /// its values, so this equals rebuilding from the lowered coverages.
+    fn lower_to(&mut self, t: f32) {
+        let idx = self.sorted.partition_point(|&v| v <= t);
+        self.sorted[idx..].fill(t);
+        self.resum();
     }
 
     /// `Σ_w max(0, best_w − t)` over this cluster's members.
@@ -114,20 +152,11 @@ impl<'a> CoresetObjective<'a> {
     }
 
     fn build_tables(clustering: &Clustering, best: &[f32]) -> Vec<CoverageTable> {
-        use rayon::prelude::*;
-        if clustering.labels.len() >= 4096 {
-            clustering
-                .members
-                .par_iter()
-                .map(|ms| CoverageTable::build(ms.iter().map(|&w| best[w])))
-                .collect()
-        } else {
-            clustering
-                .members
-                .iter()
-                .map(|ms| CoverageTable::build(ms.iter().map(|&w| best[w])))
-                .collect()
-        }
+        clustering
+            .members
+            .iter()
+            .map(|ms| CoverageTable::build(ms.iter().map(|&w| best[w])))
+            .collect()
     }
 
     /// Currently selected nodes.
@@ -160,13 +189,24 @@ impl<'a> CoresetObjective<'a> {
     /// Marginal gain `ΔRS(u | V_s) = RS(V_s) − RS(V_s ∪ {u}) ≥ 0`.
     pub fn gain(&self, u: usize) -> f64 {
         let cu = self.clustering.labels[u];
+        let ru = self.repr.row(u);
         let mut gain = 0.0f64;
-        // Exact branch over u's own cluster.
-        for &w in &self.clustering.members[cu] {
-            let d = ops::dist(self.repr.row(w), self.repr.row(u));
+        let mut add_member = |w: usize, d: f32| {
             if d < self.best[w] {
                 gain += f64::from(self.best[w] - d);
             }
+        };
+        // Exact branch over u's own cluster, four distances at a time; the
+        // gain still accumulates in member order.
+        let mut quads = self.clustering.members[cu].chunks_exact(4);
+        for quad in &mut quads {
+            let rows = [0, 1, 2, 3].map(|i| self.repr.row(quad[i]));
+            for (&w, d) in quad.iter().zip(dist4(rows, ru)) {
+                add_member(w, d);
+            }
+        }
+        for &w in quads.remainder() {
+            add_member(w, ops::dist(self.repr.row(w), ru));
         }
         // Relaxed branch for every other cluster.
         for j in 0..self.clustering.num_clusters() {
@@ -174,12 +214,16 @@ impl<'a> CoresetObjective<'a> {
                 continue;
             }
             let t = self.dist_to_center(u, j) + self.clustering.d_max[j];
+            // `gain_at` is exactly 0.0 when no member lies above `t`.
+            if self.tables[j].max().is_some_and(|m| t >= m) {
+                continue;
+            }
             gain += self.tables[j].gain_at(t);
         }
         gain
     }
 
-    /// Adds `u` to the selection, updating coverage distances.
+    /// Adds `u` to the selection, updating coverage distances and tables.
     pub fn add(&mut self, u: usize) {
         self.selected.push(u);
         let cu = self.clustering.labels[u];
@@ -189,19 +233,42 @@ impl<'a> CoresetObjective<'a> {
                 self.best[w] = d;
             }
         }
+        let best = &self.best;
+        self.tables[cu].rebuild(self.clustering.members[cu].iter().map(|&w| best[w]));
         for j in 0..self.clustering.num_clusters() {
             if j == cu {
                 continue;
             }
             let t = self.dist_to_center(u, j) + self.clustering.d_max[j];
+            // No member is covered worse than `t`: nothing moves.
+            if !self.tables[j].max().is_some_and(|m| t < m) {
+                continue;
+            }
             for &w in &self.clustering.members[j] {
                 if t < self.best[w] {
                     self.best[w] = t;
                 }
             }
+            self.tables[j].lower_to(t);
         }
-        self.tables = Self::build_tables(self.clustering, &self.best);
     }
+}
+
+/// `ops::dist` from each of four rows to `u`, with four independent
+/// accumulators for instruction-level parallelism. Each accumulator sums in
+/// `ops::sq_dist`'s element order from the same initial value (its
+/// `Iterator::sum` fold starts at the empty sum), so every result is bitwise
+/// `ops::dist(row, u)`.
+fn dist4(rows: [&[f32]; 4], u: &[f32]) -> [f32; 4] {
+    let mut acc = [std::iter::empty::<f32>().sum::<f32>(); 4];
+    let [r0, r1, r2, r3] = rows;
+    for ((((&y, &a0), &a1), &a2), &a3) in u.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+        for (s, x) in acc.iter_mut().zip([a0, a1, a2, a3]) {
+            let d = x - y;
+            *s += d * d;
+        }
+    }
+    acc.map(f32::sqrt)
 }
 
 /// The exact (unrelaxed) Eq. (12) k-medoid objective — brute force, used by
@@ -316,6 +383,213 @@ mod tests {
             .unwrap();
         let relaxed = obj.candidate_distance(u, v_other);
         assert!(relaxed >= ops::dist(x.row(v_other), x.row(u)) - 1e-4);
+    }
+
+    /// The selector before incremental tables: `add` rebuilds every table
+    /// from the coverages, `gain` scans every member and every table.
+    struct Rebuilt {
+        best: Vec<f32>,
+        tables: Vec<CoverageTable>,
+    }
+
+    impl Rebuilt {
+        fn new(obj: &CoresetObjective<'_>) -> Rebuilt {
+            let best = vec![obj.big(); obj.repr.rows()];
+            let tables = CoresetObjective::build_tables(obj.clustering, &best);
+            Rebuilt { best, tables }
+        }
+
+        fn gain(&self, obj: &CoresetObjective<'_>, u: usize) -> f64 {
+            let cu = obj.clustering.labels[u];
+            let mut gain = 0.0f64;
+            for &w in &obj.clustering.members[cu] {
+                let d = ops::dist(obj.repr.row(w), obj.repr.row(u));
+                if d < self.best[w] {
+                    gain += f64::from(self.best[w] - d);
+                }
+            }
+            for j in 0..obj.clustering.num_clusters() {
+                if j != cu {
+                    let t = obj.dist_to_center(u, j) + obj.clustering.d_max[j];
+                    gain += self.tables[j].gain_at(t);
+                }
+            }
+            gain
+        }
+
+        fn add(&mut self, obj: &CoresetObjective<'_>, u: usize) {
+            for (w, b) in self.best.iter_mut().enumerate() {
+                let d = obj.candidate_distance(u, w);
+                if d < *b {
+                    *b = d;
+                }
+            }
+            self.tables = CoresetObjective::build_tables(obj.clustering, &self.best);
+        }
+    }
+
+    fn bits32(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Adds `picks` one by one and checks, after every add, that coverages,
+    /// tables and every node's gain equal the rebuild-based reference bit
+    /// for bit. Returns how many `(pick, cluster)` thresholds equalled an
+    /// entry strictly below the table's largest one.
+    fn check_against_rebuild(x: &Matrix, clustering: &Clustering, picks: &[usize]) -> usize {
+        let mut obj = CoresetObjective::new(x, clustering);
+        let mut reference = Rebuilt::new(&obj);
+        let mut interior_ties = 0;
+        for &u in picks {
+            for j in 0..clustering.num_clusters() {
+                let t = obj.dist_to_center(u, j) + clustering.d_max[j];
+                let table = &obj.tables[j];
+                if j != clustering.labels[u] && table.max().is_some_and(|m| t < m) {
+                    interior_ties += usize::from(table.sorted.contains(&t));
+                }
+            }
+            obj.add(u);
+            reference.add(&obj, u);
+            assert_eq!(
+                bits32(&obj.best),
+                bits32(&reference.best),
+                "coverage after {u}"
+            );
+            for (j, (got, want)) in obj.tables.iter().zip(&reference.tables).enumerate() {
+                assert_eq!(
+                    bits32(&got.sorted),
+                    bits32(&want.sorted),
+                    "table {j} after {u}"
+                );
+                assert_eq!(
+                    bits64(&got.suffix),
+                    bits64(&want.suffix),
+                    "suffix {j} after {u}"
+                );
+            }
+            for v in 0..x.rows() {
+                let (got, want) = (obj.gain(v), reference.gain(&obj, v));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "gain({v}) after {u}: {got} vs {want}"
+                );
+            }
+        }
+        interior_ties
+    }
+
+    /// A clustering with the given labels, centres at the members' mean and
+    /// `d_max` as `kmeans` computes it.
+    fn clustering_from_labels(x: &Matrix, labels: Vec<usize>, k: usize) -> Clustering {
+        let mut members = vec![Vec::new(); k];
+        for (v, &c) in labels.iter().enumerate() {
+            members[c].push(v);
+        }
+        let mut centers = Matrix::zeros(k, x.cols());
+        for (c, ms) in members.iter().enumerate() {
+            for &v in ms {
+                for (slot, &xv) in centers.row_mut(c).iter_mut().zip(x.row(v)) {
+                    *slot += xv / ms.len() as f32;
+                }
+            }
+        }
+        let mut d_max = vec![0.0f32; k];
+        for (v, &c) in labels.iter().enumerate() {
+            d_max[c] = d_max[c].max(ops::dist(x.row(v), centers.row(c)));
+        }
+        Clustering {
+            labels,
+            centers,
+            d_max,
+            members,
+        }
+    }
+
+    #[test]
+    fn incremental_tables_equal_rebuild_on_random_inputs() {
+        for seed in 0..12u64 {
+            let mut rng = SeedRng::new(100 + seed);
+            let n = 30 + rng.below(50);
+            // Integer coordinates on a small grid: many duplicate rows and
+            // exactly equal distances.
+            let dim = 1 + rng.below(3);
+            let mut x = Matrix::zeros(n, dim);
+            for v in x.as_mut_slice() {
+                *v = rng.below(5) as f32;
+            }
+            // Random labels; the last two clusters hold one member each.
+            let k = 3 + rng.below(5);
+            let mut labels: Vec<usize> = (0..n).map(|_| rng.below(k - 2)).collect();
+            labels[0] = k - 2;
+            labels[1] = k - 1;
+            let clustering = clustering_from_labels(&x, labels, k);
+            let mut picks = rng.sample_without_replacement(n, n / 2);
+            // Picking the single-member clusters' nodes exercises their
+            // own-cluster rebuild.
+            for v in [0, 1] {
+                if !picks.contains(&v) {
+                    picks.push(v);
+                }
+            }
+            check_against_rebuild(&x, &clustering, &picks);
+        }
+        // The same check on a real KMeans clustering of Gaussian data.
+        let x = two_blobs();
+        let clustering = kmeans(&x, 5, 30, &mut SeedRng::new(6));
+        let picks = SeedRng::new(7).sample_without_replacement(40, 25);
+        check_against_rebuild(&x, &clustering, &picks);
+    }
+
+    #[test]
+    fn threshold_equal_to_an_interior_entry_keeps_it() {
+        // One dimension, exact integer distances. Clusters:
+        //   A = {10} (centre 10, d_max 0)
+        //   B = {-2, 0, 2} (centre 0, d_max 2)
+        //   C = {-9, -11} (centre -10, d_max 1)
+        //   D = {0} (centre 0, d_max 0): a duplicate of B's middle row.
+        let x = Matrix::from_rows(&[&[10.0], &[-2.0], &[0.0], &[2.0], &[-9.0], &[-11.0], &[0.0]]);
+        let clustering = clustering_from_labels(&x, vec![0, 1, 1, 1, 2, 2, 3], 4);
+        // Picking 10 lowers B to 12; picking 2 rebuilds B as [0, 2, 4];
+        // picking D's 0 gives B the threshold 0 + 2 = 2, equal to the
+        // middle entry, which must stay while 4 drops to 2.
+        let ties = check_against_rebuild(&x, &clustering, &[0, 3, 6, 2]);
+        assert!(ties >= 1, "no threshold hit an interior table entry");
+    }
+
+    #[test]
+    fn lowering_a_table_equals_rebuilding_it() {
+        let values = [0.5f32, 1.0, 1.0, 2.0, 3.0, 3.0, 7.0];
+        for t in [0.0f32, 0.5, 1.0, 1.5, 3.0, 6.9, 7.0, 8.0] {
+            let mut table = CoverageTable::build(values.iter().copied());
+            table.lower_to(t);
+            let want = CoverageTable::build(values.iter().map(|&v| v.min(t)));
+            assert_eq!(bits32(&table.sorted), bits32(&want.sorted), "t = {t}");
+            assert_eq!(bits64(&table.suffix), bits64(&want.suffix), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn dist4_is_bitwise_dist() {
+        let mut rng = SeedRng::new(9);
+        for dim in [0usize, 1, 3, 4, 7, 33] {
+            let rows: Vec<Vec<f32>> = (0..5)
+                .map(|_| (0..dim).map(|_| 3.0 * rng.normal()).collect())
+                .collect();
+            let u = &rows[4];
+            let got = dist4([0, 1, 2, 3].map(|i| rows[i].as_slice()), u);
+            for (i, g) in got.iter().enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    ops::dist(&rows[i], u).to_bits(),
+                    "dim {dim} row {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -75,7 +75,9 @@ impl GreedySelector {
             &mut rng.fork("kmeans"),
         );
         let mut objective = CoresetObjective::new(repr, &clustering);
-        let mut selected_mask = vec![false; n];
+        // Unselected nodes, ascending: the same list a fresh
+        // `(0..n).filter(unselected)` would give, kept across picks.
+        let mut remaining: Vec<usize> = (0..n).collect();
         let mut sample_rng = rng.fork("sampling");
         let base_n_s = if self.config.sample_size == 0 {
             // Theorem 3: n_s = (n/k)·ln(1/ε) candidates suffice for the
@@ -89,11 +91,7 @@ impl GreedySelector {
         let avg_cluster = n / n_c.min(n).max(1);
         let step_work = base_n_s * (avg_cluster * repr.cols() + n_c);
         let parallel_gains = step_work >= 4_000_000;
-        while objective.selected().len() < budget {
-            let remaining: Vec<usize> = (0..n).filter(|&v| !selected_mask[v]).collect();
-            if remaining.is_empty() {
-                break;
-            }
+        while objective.selected().len() < budget && !remaining.is_empty() {
             let n_s = base_n_s.min(remaining.len());
             let candidate_idx = sample_rng.sample_without_replacement(remaining.len(), n_s);
             let candidates: Vec<usize> = candidate_idx.into_iter().map(|i| remaining[i]).collect();
@@ -126,10 +124,21 @@ impl GreedySelector {
                     .map(|&v| (v, objective.gain(v)))
                     .fold((usize::MAX, f64::NEG_INFINITY), pick_best)
             };
-            let v_star = best.0;
-            debug_assert!(v_star != usize::MAX);
+            // Every gain NaN (non-finite aggregates): no candidate beats the
+            // sentinel, so fall back to the tie-break's choice, the lowest id.
+            let v_star = if best.0 == usize::MAX {
+                candidates
+                    .iter()
+                    .copied()
+                    .min()
+                    .expect("n_s >= 1 candidates")
+            } else {
+                best.0
+            };
             objective.add(v_star);
-            selected_mask[v_star] = true;
+            if let Ok(at) = remaining.binary_search(&v_star) {
+                remaining.remove(at);
+            }
         }
         let nodes = objective.selected().to_vec();
         let weights = assign_weights(repr, &nodes);
@@ -224,6 +233,19 @@ mod tests {
         let sel = GreedySelector::default();
         let s = sel.select(&g, &x, 10_000, &mut SeedRng::new(8));
         assert_eq!(s.nodes.len(), g.num_nodes());
+    }
+
+    #[test]
+    fn non_finite_aggregate_never_adds_the_sentinel() {
+        // One infinite entry spreads through KMeans into every centre, so
+        // every marginal gain is NaN and no candidate beats the argmax
+        // sentinel; the loop must still pick real nodes.
+        let (g, mut x, _) = clustered_graph(13);
+        x.set(5, 0, f32::INFINITY);
+        let repr = norm::raw_aggregate(&g, &x, 2);
+        let s = GreedySelector::default().select_from_aggregate(&repr, 15, &mut SeedRng::new(14));
+        assert_eq!(s.nodes.len(), 15);
+        assert!(s.nodes.iter().all(|&v| v < g.num_nodes()));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! Modules:
 //! * [`kmeans`] — KMeans++/Lloyd over the raw aggregates;
-//! * [`coreset`] — the Eq. (14) representativity objective with `O(1)`
-//!   marginal-gain evaluation;
+//! * [`coreset`] — the Eq. (14) representativity objective with
+//!   incrementally maintained per-cluster coverage tables;
 //! * [`greedy`] — Algorithm 2;
 //! * [`baselines`] — Random / Degree / KMeans / KCG / Grain selectors of
 //!   Table VII.
