@@ -478,6 +478,12 @@ pub fn train(argv: &[String]) -> i32 {
     })())
 }
 
+/// Loads an artifact; errors name the file kind ("artifact quarantined to
+/// …", "artifact io error: …").
+fn load_artifact(path: &str) -> Result<Artifact, String> {
+    Artifact::load(Path::new(path)).map_err(|e| format!("artifact {e}"))
+}
+
 /// Builds (or loads and validates) an IVF index for `store` from the
 /// shared `--nlist` / `--nprobe` / `--train-sample` / `--kmeans-iters` /
 /// `--index-seed` / `--index-path` flags.
@@ -485,7 +491,7 @@ fn ivf_for_store(args: &Args, store: &EmbeddingStore, seed: u64) -> Result<IvfIn
     let index_path = args.get("index-path", "");
     let nprobe: usize = args.get_parse("nprobe", 0)?; // 0 = keep index default
     let mut index = if !index_path.is_empty() && Path::new(&index_path).exists() {
-        let mut ix = IvfIndex::load(Path::new(&index_path)).map_err(|e| e.to_string())?;
+        let mut ix = IvfIndex::load(Path::new(&index_path)).map_err(|e| format!("index {e}"))?;
         ix.pack(store).map_err(|e| e.to_string())?;
         eprintln!("loaded ivf index from {index_path}: {} lists", ix.nlist());
         ix
@@ -527,7 +533,7 @@ pub fn query(argv: &[String]) -> i32 {
         let k: usize = args.get_parse("k", 10)?;
         let mode = args.get("mode", "stored");
         let index_kind = args.get("index", "none");
-        let artifact = Artifact::load(Path::new(&path)).map_err(|e| e.to_string())?;
+        let artifact = load_artifact(&path)?;
         eprintln!(
             "loaded {path}: {} on {} (scale {}, seed {}), {} x {} embeddings",
             artifact.meta.model,
@@ -581,7 +587,7 @@ pub fn build_index(argv: &[String]) -> i32 {
         let out = args.get("out", "model.ivf");
         let recall_k: usize = args.get_parse("recall-k", 10)?;
         let recall_queries: usize = args.get_parse("recall-queries", 64)?;
-        let artifact = Artifact::load(Path::new(&path)).map_err(|e| e.to_string())?;
+        let artifact = load_artifact(&path)?;
         let store = EmbeddingStore::new(artifact.embeddings.clone());
         let defaults = IvfConfig::for_rows(store.len());
         let cfg = IvfConfig {
@@ -664,7 +670,7 @@ pub fn serve_bench(argv: &[String]) -> i32 {
             let artifact = train_artifact(&c)?;
             (artifact, c.data)
         } else {
-            let artifact = Artifact::load(Path::new(&path)).map_err(|e| e.to_string())?;
+            let artifact = load_artifact(&path)?;
             let data = dataset_of(&artifact.meta)?;
             (artifact, data)
         };

@@ -14,25 +14,17 @@
 //!
 //! # On-disk layout (version 1)
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"E2GCLCKP"
-//! 8       4     format version, u32 LE (currently 1)
-//! 12      8     payload length in bytes, u64 LE
-//! 20      8     FNV-1a 64-bit checksum of the payload, u64 LE
-//! 28      ...   payload
-//! ```
-//!
-//! Payload, in order (integers LE, floats as IEEE-754 bit patterns):
-//! `next_epoch` u64 · config fingerprint u64 · guard state · loss curve ·
-//! embedding snapshots · step state. Files are written through
-//! [`crate::durable::atomic_write`], so a crash never leaves a torn
-//! checkpoint at the destination path; a corrupt file found on load is
-//! quarantined (renamed `*.corrupt`) with a typed
+//! A [`crate::durable`] container with magic `b"E2GCLCKP"` (frame layout in
+//! DESIGN.md, "One durable container"). Payload, in order (integers LE,
+//! floats as IEEE-754 bit patterns): `next_epoch` u64 · config fingerprint
+//! u64 · guard state · loss curve · embedding snapshots · step state.
+//! Files are written through [`crate::durable::atomic_write`], so a crash
+//! never leaves a torn checkpoint at the destination path; a corrupt file
+//! found on load is quarantined (renamed `*.corrupt`) with a typed
 //! [`TrainError::Checkpoint`].
 
 use crate::config::TrainConfig;
-use crate::durable::{atomic_write, fnv1a64, quarantine};
+use crate::durable::{self, fnv1a64, put_matrix, DurableError, Reader};
 use crate::guard::GuardState;
 use e2gcl_linalg::rng::RngState;
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
@@ -43,8 +35,6 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"E2GCLCKP";
 /// Current checkpoint format version.
 pub const VERSION: u32 = 1;
-/// Size of the fixed header (magic + version + payload length + checksum).
-pub const HEADER_LEN: usize = 28;
 
 /// A model step's mutable cross-epoch state, as generic containers.
 ///
@@ -256,55 +246,12 @@ impl TrainCheckpoint {
         for &s in &self.step.scalars {
             p.extend_from_slice(&s.to_bits().to_le_bytes());
         }
-
-        let mut out = Vec::with_capacity(HEADER_LEN + p.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&p).to_le_bytes());
-        out.extend_from_slice(&p);
-        out
+        durable::seal(MAGIC, VERSION, &p)
     }
 
     /// Parses a checkpoint, verifying magic, version, length and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, TrainError> {
-        let fail = |msg: String| Err(TrainError::Checkpoint(msg));
-        if bytes.len() < HEADER_LEN {
-            return fail(format!(
-                "truncated header: {} of {HEADER_LEN} bytes",
-                bytes.len()
-            ));
-        }
-        if bytes[..8] != MAGIC {
-            return fail(format!("bad magic {:02x?}", &bytes[..8]));
-        }
-        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if version != VERSION {
-            return fail(format!(
-                "unsupported checkpoint version {version} (this build reads {VERSION})"
-            ));
-        }
-        let mut len8 = [0u8; 8];
-        len8.copy_from_slice(&bytes[12..20]);
-        let payload_len = u64::from_le_bytes(len8) as usize;
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&bytes[20..28]);
-        let expected = u64::from_le_bytes(sum8);
-        let body = &bytes[HEADER_LEN..];
-        if body.len() != payload_len {
-            return fail(format!(
-                "payload length mismatch: header says {payload_len}, file has {}",
-                body.len()
-            ));
-        }
-        let actual = fnv1a64(body);
-        if actual != expected {
-            return fail(format!(
-                "checksum mismatch: header says {expected:#018x}, payload hashes to {actual:#018x}"
-            ));
-        }
-
-        let mut cur = Reader::new(body);
+    pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, DurableError> {
+        let mut cur = Reader::new(durable::open(bytes, MAGIC, VERSION)?);
         let next_epoch = cur.take_u64()? as usize;
         let cfg_hash = cur.take_u64()?;
         let has_baseline = cur.take_u8()? != 0;
@@ -313,45 +260,18 @@ impl TrainCheckpoint {
             baseline: has_baseline.then(|| f32::from_bits(baseline_bits)),
             consecutive_failures: cur.take_u64()? as usize,
             lr_scale: f32::from_bits(cur.take_u32()?),
-            skipped_epochs: {
-                let n = cur.take_u32()? as usize;
-                let mut v = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    v.push(cur.take_u64()? as usize);
-                }
-                v
-            },
+            skipped_epochs: cur.take_list(8, |r| Ok(r.take_u64()? as usize))?,
         };
-        let n_loss = cur.take_u32()? as usize;
-        let mut loss_curve = Vec::with_capacity(n_loss.min(4096));
-        for _ in 0..n_loss {
-            loss_curve.push(f32::from_bits(cur.take_u32()?));
-        }
-        let n_snap = cur.take_u32()? as usize;
-        let mut snapshots = Vec::with_capacity(n_snap.min(1024));
-        for _ in 0..n_snap {
-            let secs = f64::from_bits(cur.take_u64()?);
-            snapshots.push((secs, cur.take_matrix()?));
-        }
-        let n_mat = cur.take_u32()? as usize;
-        let mut matrices = Vec::with_capacity(n_mat.min(1024));
-        for _ in 0..n_mat {
-            matrices.push(cur.take_matrix()?);
-        }
-        let n_rng = cur.take_u32()? as usize;
-        let mut rngs = Vec::with_capacity(n_rng.min(64));
-        for _ in 0..n_rng {
-            let b = cur.take(44)?;
-            rngs.push(
-                RngState::from_bytes(b)
-                    .ok_or_else(|| TrainError::Checkpoint("malformed rng state".into()))?,
-            );
-        }
-        let n_scalar = cur.take_u32()? as usize;
-        let mut scalars = Vec::with_capacity(n_scalar.min(4096));
-        for _ in 0..n_scalar {
-            scalars.push(f64::from_bits(cur.take_u64()?));
-        }
+        let loss_curve = cur.take_list(4, |r| Ok(f32::from_bits(r.take_u32()?)))?;
+        let snapshots = cur.take_list(16, |r| {
+            Ok((f64::from_bits(r.take_u64()?), r.take_matrix()?))
+        })?;
+        let matrices = cur.take_list(8, Reader::take_matrix)?;
+        let rngs = cur.take_list(44, |r| {
+            RngState::from_bytes(r.take(44)?)
+                .ok_or_else(|| DurableError::Corrupt("malformed rng state".into()))
+        })?;
+        let scalars = cur.take_list(8, |r| Ok(f64::from_bits(r.take_u64()?)))?;
         cur.finish()?;
         Ok(TrainCheckpoint {
             next_epoch,
@@ -367,104 +287,18 @@ impl TrainCheckpoint {
         })
     }
 
-    /// Writes the checkpoint durably ([`atomic_write`]): the path never
-    /// holds a torn file, even across a crash mid-save.
+    /// Writes the checkpoint durably ([`durable::atomic_write`]): the path
+    /// never holds a torn file, even across a crash mid-save.
     pub fn save_durable(&self, path: &Path) -> Result<(), TrainError> {
-        atomic_write(path, &self.to_bytes())
-            .map_err(|e| TrainError::Checkpoint(format!("{}: {e}", path.display())))
+        durable::save(path, &self.to_bytes()).map_err(|e| TrainError::Checkpoint(e.to_string()))
     }
 
-    /// Reads and parses a checkpoint. A file that exists but fails to parse
-    /// is quarantined (renamed `*.corrupt`) and the returned error names
-    /// both the cause and the quarantine location.
+    /// Reads and parses a checkpoint through [`durable::load`]: a file that
+    /// exists but fails to parse is quarantined (renamed `*.corrupt`) and
+    /// the returned error names both the cause and the quarantine location.
     pub fn load_durable(path: &Path) -> Result<TrainCheckpoint, TrainError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| TrainError::Checkpoint(format!("{}: {e}", path.display())))?;
-        match Self::from_bytes(&bytes) {
-            Ok(ckpt) => Ok(ckpt),
-            Err(err) => {
-                let note = match quarantine(path) {
-                    Ok(q) => format!("quarantined to {}", q.display()),
-                    Err(e) => format!("quarantine failed: {e}"),
-                };
-                Err(TrainError::Checkpoint(format!(
-                    "{}: {err}; {note}",
-                    path.display()
-                )))
-            }
-        }
-    }
-}
-
-fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
-    out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
-    out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
-    for &v in m.as_slice() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-/// Bounds-checked sequential reader over the payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TrainError> {
-        let available = self.buf.len() - self.pos;
-        if available < n {
-            return Err(TrainError::Checkpoint(format!(
-                "truncated payload: field needs {n} bytes, {available} left"
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn take_u8(&mut self) -> Result<u8, TrainError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn take_u32(&mut self) -> Result<u32, TrainError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn take_u64(&mut self) -> Result<u64, TrainError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn take_matrix(&mut self) -> Result<Matrix, TrainError> {
-        let rows = self.take_u32()? as usize;
-        let cols = self.take_u32()? as usize;
-        let count = rows.checked_mul(cols).and_then(|c| c.checked_mul(4));
-        let bytes = self.take(count.ok_or_else(|| {
-            TrainError::Checkpoint(format!("matrix shape {rows}x{cols} overflows"))
-        })?)?;
-        let data: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-            .collect();
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    fn finish(&self) -> Result<(), TrainError> {
-        if self.pos != self.buf.len() {
-            return Err(TrainError::Checkpoint(format!(
-                "{} unread bytes inside payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+        durable::load(path, Self::from_bytes)
+            .map_err(|e| TrainError::Checkpoint(format!("{}: {e}", path.display())))
     }
 }
 
@@ -512,29 +346,6 @@ mod tests {
         // NaN losses survive as the same bit pattern.
         assert_eq!(a.loss_curve[2].to_bits(), b.loss_curve[2].to_bits());
         assert_eq!(bytes, b.to_bytes());
-    }
-
-    #[test]
-    fn corruption_is_typed() {
-        let bytes = sample().to_bytes();
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(TrainCheckpoint::from_bytes(&bad).is_err());
-        // Flipped payload bit.
-        let mut bad = bytes.clone();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
-        bad[mid] ^= 0x20;
-        let err = TrainCheckpoint::from_bytes(&bad).unwrap_err();
-        assert!(matches!(err, TrainError::Checkpoint(_)));
-        assert!(err.to_string().contains("checksum"));
-        // Truncation.
-        assert!(TrainCheckpoint::from_bytes(&bytes[..bytes.len() - 2]).is_err());
-        assert!(TrainCheckpoint::from_bytes(&bytes[..5]).is_err());
-        // Trailing bytes.
-        let mut bad = bytes.clone();
-        bad.push(0);
-        assert!(TrainCheckpoint::from_bytes(&bad).is_err());
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod durable;
+pub use e2gcl_linalg::durable;
 pub mod engine;
 pub mod eval;
 pub mod guard;

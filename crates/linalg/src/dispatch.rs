@@ -9,9 +9,10 @@
 //!    (and the library falls back to scalar) if the host lacks AVX2+FMA.
 //! 3. `E2GCL_KERNEL_CONFIG=<path>` — load a persisted [`tune`] file. A
 //!    missing or corrupt explicitly-named file is a typed error (corrupt
-//!    files are quarantined to `<path>.corrupt` first, matching the PR 6
-//!    artifact policy); the library falls back to detected defaults and the
-//!    CLI turns the recorded error into a usage message + exit.
+//!    files are quarantined to `<path>.corrupt` first by
+//!    [`crate::durable::load`], like every durable file); the library
+//!    falls back to detected defaults and the CLI turns the recorded error
+//!    into a usage message + exit.
 //! 4. Unset — load `./kernel_tune.json` if present and valid for the
 //!    detected feature set. A corrupt implicit file is quarantined and a
 //!    feature-mismatched one ignored (both recorded as [`events`]); either
@@ -28,6 +29,7 @@
 //!
 //! [`tune`]: crate::tune
 
+use crate::durable::DurableError;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::fmt;
@@ -436,8 +438,14 @@ fn resolve_explicit_file(path: &str) -> Resolved {
                 events: Vec::new(),
             },
         },
-        Err(cause) => {
-            let quarantined_to = crate::tune::quarantine(path).ok();
+        Err(err) => {
+            let (cause, quarantined_to) = match err {
+                DurableError::Quarantined {
+                    quarantined_to,
+                    cause,
+                } => (cause.to_string(), Some(quarantined_to)),
+                other => (other.to_string(), None),
+            };
             Resolved {
                 selection: Selection::detected_default(),
                 source: SelectionSource::Default,
@@ -481,18 +489,12 @@ fn resolve_implicit() -> Resolved {
                 events: vec![format!("ignored {path}: {err}")],
             },
         },
-        Err(cause) => {
-            let event = match crate::tune::quarantine(path) {
-                Ok(q) => format!("quarantined corrupt {path} to {q} ({cause}); will retune"),
-                Err(e) => format!("corrupt {path} ({cause}); quarantine failed: {e}"),
-            };
-            Resolved {
-                selection: Selection::detected_default(),
-                source: SelectionSource::Default,
-                error: None,
-                events: vec![event],
-            }
-        }
+        Err(err) => Resolved {
+            selection: Selection::detected_default(),
+            source: SelectionSource::Default,
+            error: None,
+            events: vec![format!("{path}: {err}; will retune")],
+        },
     }
 }
 

@@ -20,6 +20,7 @@
 pub mod activations;
 pub mod alloc_stats;
 pub mod dispatch;
+pub mod durable;
 pub mod error;
 pub mod hash;
 pub mod init;

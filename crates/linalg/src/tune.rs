@@ -9,7 +9,8 @@
 //! tuned process produces bit-identical results to a default-tiled one on
 //! the same path.
 //!
-//! Persistence follows the PR 6 artifact policy: a corrupt file is
+//! Persistence follows the workspace's durable-file policy
+//! ([`crate::durable`]): files are written atomically, a corrupt file is
 //! quarantined to `<path>.corrupt` and re-tuned rather than panicking; a
 //! file tuned under a feature set the host does not satisfy is ignored.
 //! Version bumps of [`TUNE_VERSION`] invalidate old files the same way.
@@ -19,8 +20,10 @@
 use crate::dispatch::{
     avx2_available, detected_features, DispatchPath, KernelConfigError, Selection, TileConfig,
 };
+use crate::durable::{self, DurableError};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use std::time::Instant;
 
 /// Version of the persisted tune-file schema. Bump on incompatible change.
@@ -88,20 +91,25 @@ impl KernelTune {
     }
 }
 
-/// Parses and validates a tune file. Errors are human-readable causes; the
-/// caller decides between quarantine (corrupt) and ignore (mismatch).
-pub fn load(path: &str) -> Result<KernelTune, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read failed: {e}"))?;
-    let tune: KernelTune =
-        serde_json::from_str(&text).map_err(|e| format!("parse failed: {e:?}"))?;
+/// Parses and validates tune-file bytes. Every failure is
+/// [`DurableError::Corrupt`] with a human-readable cause.
+pub fn decode(bytes: &[u8]) -> Result<KernelTune, DurableError> {
+    let corrupt = |why: String| Err(DurableError::Corrupt(why));
+    let Ok(text) = std::str::from_utf8(bytes) else {
+        return corrupt("tune file is not UTF-8".into());
+    };
+    let tune: KernelTune = match serde_json::from_str(text) {
+        Ok(t) => t,
+        Err(e) => return corrupt(format!("parse failed: {e:?}")),
+    };
     if tune.version != TUNE_VERSION {
-        return Err(format!(
+        return corrupt(format!(
             "version {} != supported {TUNE_VERSION}",
             tune.version
         ));
     }
     if tune.dispatch_path().is_none() {
-        return Err(format!("unknown dispatch path `{}`", tune.path));
+        return corrupt(format!("unknown dispatch path `{}`", tune.path));
     }
     for (name, t) in [
         ("tall", &tune.tall),
@@ -109,27 +117,16 @@ pub fn load(path: &str) -> Result<KernelTune, String> {
         ("spmm", &tune.spmm),
     ] {
         if !t.is_valid() {
-            return Err(format!("{name} tile config {t:?} names no compiled kernel"));
+            return corrupt(format!("{name} tile config {t:?} names no compiled kernel"));
         }
     }
     Ok(tune)
 }
 
-/// Serialises `tune` to `path` (write-to-temp + rename, so readers never
-/// observe a torn file).
-pub fn persist(path: &str, tune: &KernelTune) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    let json = serde_json::to_string(tune).expect("KernelTune serialises");
-    std::fs::write(&tmp, json.as_bytes())?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Moves a corrupt tune file to `<path>.corrupt` (PR 6 artifact policy)
-/// and returns the quarantine path.
-pub fn quarantine(path: &str) -> std::io::Result<String> {
-    let dst = format!("{path}.corrupt");
-    std::fs::rename(path, &dst)?;
-    Ok(dst)
+/// Loads a tune file through [`durable::load`]: a file that reads but does
+/// not [`decode`] is quarantined to `<path>.corrupt`.
+pub fn load(path: &str) -> Result<KernelTune, DurableError> {
+    durable::load(Path::new(path), decode)
 }
 
 /// Outcome of [`ensure`]: the active tune plus whether it was produced by
@@ -145,7 +142,7 @@ pub struct TuneOutcome {
 /// are left in place and superseded by the fresh result.
 pub fn ensure(path: &str) -> TuneOutcome {
     let mut events = Vec::new();
-    if std::path::Path::new(path).is_file() {
+    if Path::new(path).is_file() {
         match load(path) {
             Ok(tune) if tune.check_host().is_ok() => {
                 return TuneOutcome {
@@ -155,14 +152,16 @@ pub fn ensure(path: &str) -> TuneOutcome {
                 };
             }
             Ok(_) => events.push(format!("{path}: feature set mismatch, retuning")),
-            Err(cause) => match quarantine(path) {
-                Ok(q) => events.push(format!("quarantined corrupt {path} to {q} ({cause})")),
-                Err(e) => events.push(format!("corrupt {path} ({cause}); quarantine failed: {e}")),
-            },
+            Err(e) => events.push(format!("{path}: {e}")),
         }
     }
     let tune = autotune();
-    match persist(path, &tune) {
+    let persisted = serde_json::to_string(&tune)
+        .map_err(|e| format!("{e:?}"))
+        .and_then(|json| {
+            durable::atomic_write(Path::new(path), json.as_bytes()).map_err(|e| e.to_string())
+        });
+    match persisted {
         Ok(()) => events.push(format!("autotuned and persisted {path}")),
         Err(e) => events.push(format!("autotune ok but persist to {path} failed: {e}")),
     }
@@ -330,16 +329,23 @@ mod tests {
     fn load_rejects_bad_version_and_path() {
         let dir = std::env::temp_dir();
         let p = dir.join("e2gcl_tune_bad_version.json");
+        let q = dir.join("e2gcl_tune_bad_version.json.corrupt");
         let mut t = sample();
         t.version = 999;
-        persist(p.to_str().unwrap(), &t).unwrap();
-        assert!(load(p.to_str().unwrap()).unwrap_err().contains("version"));
+        durable::atomic_write(&p, serde_json::to_string(&t).unwrap().as_bytes()).unwrap();
+        let err = load(p.to_str().unwrap()).unwrap_err().to_string();
+        assert!(err.contains("version"), "{err}");
 
         let mut t = sample();
         t.path = "neon".to_string();
-        persist(p.to_str().unwrap(), &t).unwrap();
-        assert!(load(p.to_str().unwrap()).unwrap_err().contains("path"));
-        let _ = std::fs::remove_file(&p);
+        durable::atomic_write(&p, serde_json::to_string(&t).unwrap().as_bytes()).unwrap();
+        let err = load(p.to_str().unwrap()).unwrap_err().to_string();
+        assert!(err.contains("path"), "{err}");
+        assert!(
+            q.is_file() && !p.exists(),
+            "rejected tune file is quarantined"
+        );
+        let _ = std::fs::remove_file(&q);
     }
 
     #[test]

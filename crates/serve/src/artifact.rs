@@ -9,103 +9,36 @@
 //!
 //! # On-disk layout (version 1)
 //!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"E2GCLART"
-//! 8       4     format version, u32 LE (currently 1)
-//! 12      8     payload length in bytes, u64 LE
-//! 20      8     FNV-1a 64-bit checksum of the payload, u64 LE
-//! 28      ...   payload (exactly `payload length` bytes, nothing after)
-//! ```
-//!
-//! Payload, in order (all integers LE, strings/bytes length-prefixed u32):
-//! `model` str · `dataset` str · `scale` f64-bits · `seed` u64 ·
-//! config JSON bytes · encoder section · embeddings matrix.
-//! The encoder section is a kind tag (u8: 0 GCN, 1 SGC, 2 SAGE), an aux u32
-//! (layer count for GCN/SAGE, propagation depth `L` for SGC), a matrix
-//! count u32, then each weight matrix as u32 rows · u32 cols · row-major
-//! f32 bits. The embedding matrix uses the same encoding.
+//! A [`durable`] container with magic `b"E2GCLART"` (frame layout in
+//! DESIGN.md, "One durable container"). Payload, in order (all integers
+//! LE, strings/bytes length-prefixed u32): `model` str · `dataset` str ·
+//! `scale` f64-bits · `seed` u64 · config JSON bytes · encoder section ·
+//! embeddings matrix. The encoder section is a kind tag (u8: 0 GCN, 1 SGC,
+//! 2 SAGE), an aux u32 (layer count for GCN/SAGE, propagation depth `L`
+//! for SGC), a matrix count u32, then each weight matrix as u32 rows · u32
+//! cols · row-major f32 bits ([`durable::put_matrix`]). The embedding
+//! matrix uses the same encoding.
 //!
 //! Every decode failure is a typed [`ArtifactError`] — corrupted, truncated
 //! or wrong-version files never panic (property-tested in
-//! `tests/proptests.rs`).
+//! `tests/proptests.rs`, corruption-swept in `tests/corruption.rs`).
 
 use e2gcl::config::TrainConfig;
+use e2gcl_linalg::durable::{self, put_bytes, put_matrix, Reader};
 use e2gcl_linalg::Matrix;
 use e2gcl_nn::{FrozenEncoder, GcnEncoder, SageEncoder, SgcEncoder};
-use std::fmt;
 use std::path::Path;
 
 /// Leading 8 bytes of every artifact file.
 pub const MAGIC: [u8; 8] = *b"E2GCLART";
 /// Current format version.
 pub const VERSION: u32 = 1;
-/// Size of the fixed header (magic + version + payload length + checksum).
-pub const HEADER_LEN: usize = 28;
 
-/// Typed artifact failure — the only way loading can go wrong.
-#[derive(Debug)]
-pub enum ArtifactError {
-    /// Filesystem error while reading/writing (message carries the cause).
-    Io(String),
-    /// The first 8 bytes are not [`MAGIC`] — not an artifact file.
-    BadMagic([u8; 8]),
-    /// The file's format version is newer/older than this build supports.
-    UnsupportedVersion(u32),
-    /// Payload bytes do not hash to the stored checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
-    },
-    /// The file ends before a field does.
-    Truncated {
-        /// Bytes the current field still needed.
-        needed: usize,
-        /// Bytes that were left.
-        available: usize,
-    },
-    /// Structurally invalid content (bad tag, shapes that don't chain,
-    /// trailing bytes, unparsable config …).
-    Corrupt(String),
-    /// [`Artifact::load`] found a file that failed to decode and moved it
-    /// aside to `<path>.corrupt` so the next load attempt fails fast with a
-    /// missing-file error instead of re-parsing known-bad bytes.
-    Quarantined {
-        /// Where the bad file now lives.
-        quarantined_to: String,
-        /// Why decoding failed.
-        cause: Box<ArtifactError>,
-    },
-}
+/// Typed artifact failure — the workspace's one durable-file error.
+pub use e2gcl_linalg::durable::DurableError as ArtifactError;
 
-impl fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArtifactError::Io(e) => write!(f, "artifact io error: {e}"),
-            ArtifactError::BadMagic(m) => write!(f, "not an artifact file (magic {m:02x?})"),
-            ArtifactError::UnsupportedVersion(v) => {
-                write!(f, "unsupported artifact version {v} (this build reads {VERSION})")
-            }
-            ArtifactError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "artifact checksum mismatch: header says {expected:#018x}, payload hashes to {actual:#018x}"
-            ),
-            ArtifactError::Truncated { needed, available } => write!(
-                f,
-                "artifact truncated: field needs {needed} more bytes, {available} left"
-            ),
-            ArtifactError::Corrupt(why) => write!(f, "artifact corrupt: {why}"),
-            ArtifactError::Quarantined {
-                quarantined_to,
-                cause,
-            } => write!(f, "artifact quarantined to {quarantined_to}: {cause}"),
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {}
+/// FNV-1a 64-bit hash — the container checksum artifacts are sealed with.
+pub use e2gcl_linalg::durable::fnv1a64;
 
 /// Provenance of the run that produced an artifact — enough to regenerate
 /// the (deterministic, synthetic) dataset the embeddings were trained on.
@@ -142,8 +75,8 @@ impl Artifact {
     /// Serialises to the version-1 byte format described in the module docs.
     pub fn to_bytes(&self) -> Result<Vec<u8>, ArtifactError> {
         let mut payload = Vec::new();
-        put_str(&mut payload, &self.meta.model);
-        put_str(&mut payload, &self.meta.dataset);
+        put_bytes(&mut payload, self.meta.model.as_bytes());
+        put_bytes(&mut payload, self.meta.dataset.as_bytes());
         payload.extend_from_slice(&self.meta.scale.to_bits().to_le_bytes());
         payload.extend_from_slice(&self.meta.seed.to_le_bytes());
         let config_json = serde_json::to_string(&self.config)
@@ -162,58 +95,12 @@ impl Artifact {
             put_matrix(&mut payload, m);
         }
         put_matrix(&mut payload, &self.embeddings);
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok(out)
+        Ok(durable::seal(MAGIC, VERSION, &payload))
     }
 
     /// Parses an artifact, verifying magic, version, length and checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ArtifactError::Truncated {
-                needed: HEADER_LEN - bytes.len(),
-                available: bytes.len(),
-            });
-        }
-        let mut magic = [0u8; 8];
-        magic.copy_from_slice(&bytes[..8]);
-        if magic != MAGIC {
-            return Err(ArtifactError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if version != VERSION {
-            return Err(ArtifactError::UnsupportedVersion(version));
-        }
-        let mut len8 = [0u8; 8];
-        len8.copy_from_slice(&bytes[12..20]);
-        let payload_len = u64::from_le_bytes(len8) as usize;
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&bytes[20..28]);
-        let expected = u64::from_le_bytes(sum8);
-        let body = &bytes[HEADER_LEN..];
-        if body.len() < payload_len {
-            return Err(ArtifactError::Truncated {
-                needed: payload_len - body.len(),
-                available: body.len(),
-            });
-        }
-        if body.len() > payload_len {
-            return Err(ArtifactError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                body.len() - payload_len
-            )));
-        }
-        let actual = fnv1a64(body);
-        if actual != expected {
-            return Err(ArtifactError::ChecksumMismatch { expected, actual });
-        }
-
-        let mut cur = Cursor::new(body);
+        let mut cur = Reader::new(durable::open(bytes, MAGIC, VERSION)?);
         let model = cur.take_str()?;
         let dataset = cur.take_str()?;
         let scale = f64::from_bits(cur.take_u64()?);
@@ -225,11 +112,7 @@ impl Artifact {
             .map_err(|e| ArtifactError::Corrupt(format!("config does not parse: {e}")))?;
         let kind = cur.take_u8()?;
         let aux = cur.take_u32()? as usize;
-        let n_params = cur.take_u32()? as usize;
-        let mut params = Vec::with_capacity(n_params.min(1024));
-        for _ in 0..n_params {
-            params.push(cur.take_matrix()?);
-        }
+        let params = cur.take_list(8, Reader::take_matrix)?;
         let encoder = decode_encoder(kind, aux, params)?;
         let embeddings = cur.take_matrix()?;
         cur.finish()?;
@@ -253,14 +136,11 @@ impl Artifact {
         })
     }
 
-    /// Writes the artifact to `path` **crash-safely**: the bytes go to a
-    /// temporary sibling first, are fsynced, and are then atomically renamed
-    /// over `path`. A crash at any point leaves either the old artifact or
-    /// the new one — never a torn mixture.
+    /// Writes the artifact to `path` **crash-safely**
+    /// ([`durable::atomic_write`]): a crash at any point leaves either the
+    /// old artifact or the new one — never a torn mixture.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        let bytes = self.to_bytes()?;
-        e2gcl::durable::atomic_write(path, &bytes)
-            .map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))
+        durable::save(path, &self.to_bytes()?)
     }
 
     /// Fault-injection hook: writes only the first `keep` bytes of the
@@ -270,31 +150,17 @@ impl Artifact {
     /// a deterministic torn artifact without actually killing a process.
     pub fn save_torn(&self, path: &Path, keep: usize) -> Result<(), ArtifactError> {
         let bytes = self.to_bytes()?;
-        e2gcl::durable::write_torn(path, &bytes, keep)
+        durable::write_torn(path, &bytes, keep)
             .map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))
     }
 
-    /// Reads and parses an artifact from `path`.
-    ///
-    /// A file that *reads* fine but fails to decode (torn write, bit rot,
-    /// foreign bytes) is **quarantined**: renamed to `<path>.corrupt` and
-    /// reported as [`ArtifactError::Quarantined`] carrying the decode
-    /// failure as its cause. Pure I/O failures (missing file, permissions)
-    /// stay [`ArtifactError::Io`] and move nothing.
+    /// Reads and parses an artifact from `path` through [`durable::load`]:
+    /// a file that *reads* fine but fails to decode (torn write, bit rot,
+    /// foreign bytes) is renamed to `<path>.corrupt` and reported as
+    /// [`ArtifactError::Quarantined`]; pure I/O failures (missing file,
+    /// permissions) stay [`ArtifactError::Io`] and move nothing.
     pub fn load(path: &Path) -> Result<Artifact, ArtifactError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))?;
-        match Self::from_bytes(&bytes) {
-            Ok(artifact) => Ok(artifact),
-            Err(cause) => match e2gcl::durable::quarantine(path) {
-                Ok(q) => Err(ArtifactError::Quarantined {
-                    quarantined_to: q.display().to_string(),
-                    cause: Box::new(cause),
-                }),
-                // Quarantine is best-effort; the decode error is the story.
-                Err(_) => Err(cause),
-            },
-        }
+        durable::load(path, Self::from_bytes)
     }
 }
 
@@ -338,115 +204,22 @@ fn decode_encoder(
                     params.len()
                 )));
             }
+            // Per layer: W_self and W_neigh share a shape, and each layer's
+            // input rows are the previous layer's output cols.
+            let chained = params.chunks_exact(2).enumerate().all(|(l, pair)| {
+                pair[0].shape() == pair[1].shape()
+                    && (l == 0 || params[2 * l - 1].cols() == pair[0].rows())
+            });
+            if !chained {
+                return Err(ArtifactError::Corrupt(
+                    "sage layer shapes do not chain".into(),
+                ));
+            }
             Ok(FrozenEncoder::Sage(SageEncoder::from_params(params, aux)))
         }
         other => Err(ArtifactError::Corrupt(format!(
             "unknown encoder kind tag {other}"
         ))),
-    }
-}
-
-/// FNV-1a 64-bit hash — tiny, dependency-free, and plenty to detect the
-/// bit-flips/truncations an integrity check is for (not cryptographic).
-/// Re-exported from the shared durable-write module so artifacts and
-/// training checkpoints agree on one checksum.
-pub use e2gcl::durable::fnv1a64;
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-pub(crate) fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
-    out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
-    out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
-    for &v in m.as_slice() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-/// Bounds-checked sequential reader over the payload (shared with the IVF
-/// index format in [`crate::index`], which mirrors the artifact framing).
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
-        let available = self.buf.len() - self.pos;
-        if available < n {
-            return Err(ArtifactError::Truncated {
-                needed: n - available,
-                available,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn take_u8(&mut self) -> Result<u8, ArtifactError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn take_u32(&mut self) -> Result<u32, ArtifactError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn take_u64(&mut self) -> Result<u64, ArtifactError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn take_bytes(&mut self) -> Result<&'a [u8], ArtifactError> {
-        let len = self.take_u32()? as usize;
-        self.take(len)
-    }
-
-    fn take_str(&mut self) -> Result<String, ArtifactError> {
-        let b = self.take_bytes()?;
-        std::str::from_utf8(b)
-            .map(|s| s.to_string())
-            .map_err(|_| ArtifactError::Corrupt("string field is not UTF-8".into()))
-    }
-
-    pub(crate) fn take_matrix(&mut self) -> Result<Matrix, ArtifactError> {
-        let rows = self.take_u32()? as usize;
-        let cols = self.take_u32()? as usize;
-        let count = rows.checked_mul(cols).ok_or_else(|| {
-            ArtifactError::Corrupt(format!("matrix shape {rows}x{cols} overflows"))
-        })?;
-        let bytes = self.take(count.checked_mul(4).ok_or_else(|| {
-            ArtifactError::Corrupt(format!("matrix shape {rows}x{cols} overflows"))
-        })?)?;
-        let data: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-            .collect();
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    /// Asserts the payload was consumed exactly.
-    pub(crate) fn finish(&self) -> Result<(), ArtifactError> {
-        if self.pos != self.buf.len() {
-            return Err(ArtifactError::Corrupt(format!(
-                "{} unread bytes inside payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -496,46 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn wrong_magic_is_typed() {
-        let mut bytes = sample(KIND_GCN).to_bytes().unwrap();
-        bytes[0] = b'X';
-        assert!(matches!(
-            Artifact::from_bytes(&bytes),
-            Err(ArtifactError::BadMagic(_))
-        ));
-    }
-
-    #[test]
     fn wrong_version_is_typed() {
         let mut bytes = sample(KIND_GCN).to_bytes().unwrap();
         bytes[8] = 99;
         assert!(matches!(
             Artifact::from_bytes(&bytes),
             Err(ArtifactError::UnsupportedVersion(99))
-        ));
-    }
-
-    #[test]
-    fn flipped_payload_bit_fails_checksum() {
-        let mut bytes = sample(KIND_SAGE).to_bytes().unwrap();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
-        bytes[mid] ^= 0x40;
-        assert!(matches!(
-            Artifact::from_bytes(&bytes),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn truncation_is_typed() {
-        let bytes = sample(KIND_SGC).to_bytes().unwrap();
-        assert!(matches!(
-            Artifact::from_bytes(&bytes[..bytes.len() - 3]),
-            Err(ArtifactError::Truncated { .. })
-        ));
-        assert!(matches!(
-            Artifact::from_bytes(&bytes[..10]),
-            Err(ArtifactError::Truncated { .. })
         ));
     }
 
@@ -547,6 +286,25 @@ mod tests {
             Artifact::from_bytes(&bytes),
             Err(ArtifactError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn sage_layer_shapes_must_chain() {
+        // A [4, 6, 3] SAGE whose layer-2 weights no longer take 6 inputs
+        // used to load fine and then panic in the first matmul.
+        let mut a = sample(KIND_SAGE);
+        let mut params = a.encoder.params().to_vec();
+        params[2] = Matrix::zeros(5, 3);
+        params[3] = Matrix::zeros(5, 3);
+        a.encoder = FrozenEncoder::Sage(SageEncoder::from_params(params.clone(), 2));
+        let err = Artifact::from_bytes(&a.to_bytes().unwrap()).unwrap_err();
+        assert!(matches!(err, ArtifactError::Corrupt(_)), "{err}");
+        // Self and neighbour weights of one layer must agree in shape.
+        params[2] = Matrix::zeros(6, 3);
+        params[3] = Matrix::zeros(6, 2);
+        a.encoder = FrozenEncoder::Sage(SageEncoder::from_params(params, 2));
+        let err = Artifact::from_bytes(&a.to_bytes().unwrap()).unwrap_err();
+        assert!(matches!(err, ArtifactError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -33,18 +33,9 @@
 //!
 //! # On-disk layout (version 1)
 //!
-//! Same framing as model artifacts (`artifact.rs`): magic, version,
-//! payload length, FNV-1a64 checksum, payload. Loading a corrupt file
-//! quarantines it to `<path>.corrupt`, exactly like [`crate::Artifact`].
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"E2GCLIVF"
-//! 8       4     format version, u32 LE (currently 1)
-//! 12      8     payload length in bytes, u64 LE
-//! 20      8     FNV-1a 64-bit checksum of the payload, u64 LE
-//! 28      ...   payload
-//! ```
+//! A [`durable`] container with magic `b"E2GCLIVF"`, like model artifacts
+//! (frame layout in DESIGN.md, "One durable container"). Loading a corrupt
+//! file quarantines it to `<path>.corrupt`, exactly like [`crate::Artifact`].
 //!
 //! Payload, in order (integers LE): `store_rows` u64 · `dim` u32 ·
 //! `store_checksum` u64 · `nlist` u32 · `nprobe` u32 · `train_sample` u64
@@ -56,10 +47,10 @@
 //! was built over; [`IvfIndex::matches`] rejects a drifted store before
 //! it can silently serve wrong neighbours.
 
-use crate::artifact::{self, Cursor};
 use crate::store::{cosine_from_dot, EmbeddingStore, Hit, TopKCollector};
 use crate::{ArtifactError, ServeError};
 use e2gcl_linalg::dispatch;
+use e2gcl_linalg::durable::{self, Reader};
 use e2gcl_linalg::{Matrix, SeedRng};
 use serde::Serialize;
 use std::path::Path;
@@ -68,8 +59,6 @@ use std::path::Path;
 pub const INDEX_MAGIC: [u8; 8] = *b"E2GCLIVF";
 /// Current index format version.
 pub const INDEX_VERSION: u32 = 1;
-/// Size of the fixed header (magic + version + payload length + checksum).
-const HEADER_LEN: usize = 28;
 
 /// Rows scored per blocked-GEMM assignment chunk. Bounds the `chunk x
 /// nlist` score buffer (8192 x 2048 f32 = 64 MB worst case) without
@@ -519,66 +508,20 @@ impl IvfIndex {
         payload.extend_from_slice(&(self.config.train_sample as u64).to_le_bytes());
         payload.extend_from_slice(&(self.config.kmeans_iters as u32).to_le_bytes());
         payload.extend_from_slice(&self.config.seed.to_le_bytes());
-        artifact::put_matrix(&mut payload, &self.centroids);
+        durable::put_matrix(&mut payload, &self.centroids);
         for &off in &self.list_offsets {
             payload.extend_from_slice(&off.to_le_bytes());
         }
         for &id in &self.node_ids {
             payload.extend_from_slice(&id.to_le_bytes());
         }
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&INDEX_MAGIC);
-        out.extend_from_slice(&INDEX_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&artifact::fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        durable::seal(INDEX_MAGIC, INDEX_VERSION, &payload)
     }
 
     /// Parses an index, verifying framing, checksum and every structural
     /// invariant (offset monotonicity, node-id bounds, in-list ordering).
     pub fn from_bytes(bytes: &[u8]) -> Result<IvfIndex, ArtifactError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ArtifactError::Truncated {
-                needed: HEADER_LEN - bytes.len(),
-                available: bytes.len(),
-            });
-        }
-        let mut magic = [0u8; 8];
-        magic.copy_from_slice(&bytes[..8]);
-        if magic != INDEX_MAGIC {
-            return Err(ArtifactError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if version != INDEX_VERSION {
-            return Err(ArtifactError::UnsupportedVersion(version));
-        }
-        let mut len8 = [0u8; 8];
-        len8.copy_from_slice(&bytes[12..20]);
-        let payload_len = u64::from_le_bytes(len8) as usize;
-        let mut sum8 = [0u8; 8];
-        sum8.copy_from_slice(&bytes[20..28]);
-        let expected = u64::from_le_bytes(sum8);
-        let body = &bytes[HEADER_LEN..];
-        if body.len() < payload_len {
-            return Err(ArtifactError::Truncated {
-                needed: payload_len - body.len(),
-                available: body.len(),
-            });
-        }
-        if body.len() > payload_len {
-            return Err(ArtifactError::Corrupt(format!(
-                "{} trailing bytes after payload",
-                body.len() - payload_len
-            )));
-        }
-        let actual = artifact::fnv1a64(body);
-        if actual != expected {
-            return Err(ArtifactError::ChecksumMismatch { expected, actual });
-        }
-
-        let mut cur = Cursor::new(body);
+        let mut cur = Reader::new(durable::open(bytes, INDEX_MAGIC, INDEX_VERSION)?);
         let store_rows = cur.take_u64()? as usize;
         let dim = cur.take_u32()? as usize;
         let store_checksum = cur.take_u64()?;
@@ -600,10 +543,7 @@ impl IvfIndex {
                 centroids.cols()
             )));
         }
-        let mut list_offsets = Vec::with_capacity(nlist + 1);
-        for _ in 0..=nlist {
-            list_offsets.push(cur.take_u64()?);
-        }
+        let list_offsets = cur.take_u64s(nlist + 1)?;
         if list_offsets[0] != 0
             || list_offsets.windows(2).any(|w| w[0] > w[1])
             || list_offsets[nlist] != store_rows as u64
@@ -612,10 +552,7 @@ impl IvfIndex {
                 "list offsets are not a monotone cover of the store".into(),
             ));
         }
-        let mut node_ids = Vec::with_capacity(store_rows);
-        for _ in 0..store_rows {
-            node_ids.push(cur.take_u32()?);
-        }
+        let node_ids = cur.take_u32s(store_rows)?;
         cur.finish()?;
         for w in 0..nlist {
             let lo = list_offsets[w] as usize;
@@ -650,29 +587,17 @@ impl IvfIndex {
         })
     }
 
-    /// Writes the index crash-safely (temp sibling + fsync + atomic
-    /// rename), like [`crate::Artifact::save`].
+    /// Writes the index crash-safely ([`durable::atomic_write`]), like
+    /// [`crate::Artifact::save`].
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        e2gcl::durable::atomic_write(path, &self.to_bytes())
-            .map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))
+        durable::save(path, &self.to_bytes())
     }
 
-    /// Reads and parses an index from `path`. A file that reads fine but
-    /// fails to decode is quarantined to `<path>.corrupt`, mirroring
-    /// [`crate::Artifact::load`].
+    /// Reads and parses an index from `path` through [`durable::load`]: a
+    /// file that reads fine but fails to decode is quarantined to
+    /// `<path>.corrupt`, exactly like [`crate::Artifact::load`].
     pub fn load(path: &Path) -> Result<IvfIndex, ArtifactError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))?;
-        match Self::from_bytes(&bytes) {
-            Ok(index) => Ok(index),
-            Err(cause) => match e2gcl::durable::quarantine(path) {
-                Ok(q) => Err(ArtifactError::Quarantined {
-                    quarantined_to: q.display().to_string(),
-                    cause: Box::new(cause),
-                }),
-                Err(_) => Err(cause),
-            },
-        }
+        durable::load(path, Self::from_bytes)
     }
 }
 
@@ -840,46 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_bytes_are_typed_errors() {
-        let store = clustered_store(200, 8, 4, 6);
-        let bytes = small_index(&store).to_bytes();
-
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            IvfIndex::from_bytes(&bad),
-            Err(ArtifactError::BadMagic(_))
-        ));
-
-        let mut bad = bytes.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            IvfIndex::from_bytes(&bad),
-            Err(ArtifactError::UnsupportedVersion(99))
-        ));
-
-        let mut bad = bytes.clone();
-        let mid = HEADER_LEN + (bad.len() - HEADER_LEN) / 2;
-        bad[mid] ^= 0x20;
-        assert!(matches!(
-            IvfIndex::from_bytes(&bad),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-
-        assert!(matches!(
-            IvfIndex::from_bytes(&bytes[..bytes.len() - 5]),
-            Err(ArtifactError::Truncated { .. })
-        ));
-
-        let mut bad = bytes.clone();
-        bad.push(0);
-        assert!(matches!(
-            IvfIndex::from_bytes(&bad),
-            Err(ArtifactError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn corrupt_file_is_quarantined_on_load() {
         let store = clustered_store(150, 8, 4, 7);
         let index = small_index(&store);
@@ -890,7 +775,7 @@ mod tests {
         let mut bytes = index.to_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        e2gcl::durable::atomic_write(&path, &bytes).unwrap();
+        durable::atomic_write(&path, &bytes).unwrap();
 
         let err = IvfIndex::load(&path).unwrap_err();
         assert!(matches!(err, ArtifactError::Quarantined { .. }), "{err}");
