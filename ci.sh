@@ -72,9 +72,12 @@
 #                                   missing or below the retrieval contract
 #  15. end-to-end bench smoke     — e2e_bench runs every workload once
 #                                   (exit 1 on any failed output check),
-#                                   then a traced train_full run whose
-#                                   replay must match pretrain's losses bit
-#                                   for bit through the greedy selector
+#                                   then traced train_full and
+#                                   train_minibatch runs whose replays must
+#                                   match pretrain's losses bit for bit:
+#                                   through the greedy selector and the
+#                                   λ-weighted Eq. (5) step, and through
+#                                   the sampled InfoNCE step
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -262,9 +265,10 @@ echo "==> serve bench smoke: latency/ANN/loadgen quick tiers + recorded baseline
 cargo run --release --offline -q -p e2gcl-bench --bin serve_latency -- --quick
 test -s target/bench-results/serve_latency_quick.json
 
-echo "==> end-to-end bench smoke: every workload's output checks + traced train_full replay"
+echo "==> end-to-end bench smoke: every workload's output checks + traced train_full/train_minibatch replays"
 e2e="cargo run --release --offline -q -p e2gcl-bench --bin e2e_bench --"
 $e2e --workload all --seconds 1
 $e2e --workload train_full --trace 1 --seconds 1
+$e2e --workload train_minibatch --trace 1 --seconds 1
 
 echo "CI passed."

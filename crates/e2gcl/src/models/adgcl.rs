@@ -199,7 +199,7 @@ impl EpochStep for AdgclStep<'_> {
         self.encoder.forward_with(&a2, &x2, &mut self.ws2);
         self.d_h1.reset_zeroed(n, cfg.embed_dim);
         self.d_h2.reset_zeroed(n, cfg.embed_dim);
-        let batches = shuffled_batches(n, cfg.batch_size, &mut self.train_rng);
+        let batches = shuffled_batches((0..n).collect(), cfg.batch_size, &mut self.train_rng);
         let num_batches = batches.len() as f32;
         let mut epoch_loss = 0.0;
         for batch in batches {

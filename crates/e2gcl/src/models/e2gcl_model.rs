@@ -1,23 +1,17 @@
 //! The E²GCL model: coreset selection + importance-aware views + Eq. (5)
 //! contrastive training (the full Alg. 1 / Alg. 2 / Alg. 3 stack).
 
-use crate::checkpoint::{restore_params, StepState};
-use crate::config::{MinibatchConfig, TrainConfig};
+use crate::checkpoint::StepState;
+use crate::config::TrainConfig;
 use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
+use crate::models::infonce::{self, Encoder, InfoNceStep, Twin, ViewPair};
 use crate::models::{
-    ensure_finite_features, sample_negative_indices, select_negatives, ContrastiveModel,
-    InfoNceStrategy, PretrainResult,
+    ensure_finite_features, sample_negative_indices, sampled_minibatch, ContrastiveModel,
+    PretrainResult,
 };
-use e2gcl_graph::SparseMatrix;
-use e2gcl_graph::{norm, CsrGraph, NeighborSampler};
+use e2gcl_graph::{CsrGraph, SparseMatrix};
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
-use e2gcl_nn::loss::InfoNceScratch;
-use e2gcl_nn::sage::{SageCache, SageEncoder};
-use e2gcl_nn::sgc::{SgcCache, SgcEncoder};
-use e2gcl_nn::{
-    gcn::GcnCache, loss, optim::Optimizer, Adam, ContrastiveLoss, FrozenEncoder, GcnEncoder,
-    Neighborhoods,
-};
+use e2gcl_nn::{loss, optim::Optimizer, Adam, GcnEncoder};
 use e2gcl_selector::baselines::{
     DegreeSelector, GrainSelector, KCenterGreedy, KMeansSelector, RandomSelector,
 };
@@ -69,119 +63,6 @@ pub enum EncoderKind {
     Sgc,
     /// GraphSAGE-mean — separate self/neighbour transforms.
     Sage,
-}
-
-/// Uniform facade over the supported encoders.
-enum Encoder {
-    Gcn(GcnEncoder),
-    Sgc(SgcEncoder),
-    Sage(SageEncoder),
-}
-
-enum EncoderCache {
-    Gcn(GcnCache),
-    Sgc(SgcCache),
-    Sage(SageCache),
-}
-
-impl Encoder {
-    fn new(kind: EncoderKind, d_x: usize, cfg: &TrainConfig, rng: &mut SeedRng) -> Encoder {
-        match kind {
-            EncoderKind::Gcn => Encoder::Gcn(GcnEncoder::new(&cfg.encoder_dims(d_x), rng)),
-            EncoderKind::Sgc => Encoder::Sgc(SgcEncoder::new(d_x, cfg.embed_dim, 2, rng)),
-            EncoderKind::Sage => Encoder::Sage(SageEncoder::new(&cfg.encoder_dims(d_x), rng)),
-        }
-    }
-
-    /// The adjacency operator this encoder family aggregates with:
-    /// symmetric GCN normalisation for GCN/SGC, row-stochastic mean for
-    /// SAGE.
-    fn adjacency(&self, g: &CsrGraph) -> SparseMatrix {
-        match self {
-            Encoder::Gcn(_) | Encoder::Sgc(_) => norm::normalized_adjacency(g),
-            Encoder::Sage(_) => norm::row_normalized_adjacency(g),
-        }
-    }
-
-    fn forward(&self, adj: &SparseMatrix, x: &Matrix) -> (Matrix, EncoderCache) {
-        match self {
-            Encoder::Gcn(e) => {
-                let (h, c) = e.forward(adj, x);
-                (h, EncoderCache::Gcn(c))
-            }
-            Encoder::Sgc(e) => {
-                let (h, c) = e.forward(adj, x);
-                (h, EncoderCache::Sgc(c))
-            }
-            Encoder::Sage(e) => {
-                let (h, c) = e.forward(adj, x);
-                (h, EncoderCache::Sage(c))
-            }
-        }
-    }
-
-    fn embed(&self, adj: &SparseMatrix, x: &Matrix) -> Matrix {
-        match self {
-            Encoder::Gcn(e) => e.embed(adj, x),
-            Encoder::Sgc(e) => e.embed(adj, x),
-            Encoder::Sage(e) => e.embed(adj, x),
-        }
-    }
-
-    /// Hands the trained weights to the serving layer.
-    fn into_frozen(self) -> FrozenEncoder {
-        match self {
-            Encoder::Gcn(e) => FrozenEncoder::Gcn(e),
-            Encoder::Sgc(e) => FrozenEncoder::Sgc(e),
-            Encoder::Sage(e) => FrozenEncoder::Sage(e),
-        }
-    }
-
-    fn backward(&self, adj: &SparseMatrix, cache: &EncoderCache, d: &Matrix) -> Vec<Matrix> {
-        match (self, cache) {
-            (Encoder::Gcn(e), EncoderCache::Gcn(c)) => e.backward(adj, c, d),
-            (Encoder::Sgc(e), EncoderCache::Sgc(c)) => e.backward(c, d),
-            (Encoder::Sage(e), EncoderCache::Sage(c)) => e.backward(adj, c, d),
-            _ => unreachable!("encoder/cache kind mismatch"),
-        }
-    }
-
-    fn params(&self) -> &[Matrix] {
-        match self {
-            Encoder::Gcn(e) => e.params(),
-            Encoder::Sgc(e) => e.params(),
-            Encoder::Sage(e) => e.params(),
-        }
-    }
-
-    fn params_mut(&mut self) -> &mut [Matrix] {
-        match self {
-            Encoder::Gcn(e) => e.params_mut(),
-            Encoder::Sgc(e) => e.params_mut(),
-            Encoder::Sage(e) => e.params_mut(),
-        }
-    }
-}
-
-/// Snapshot/restore shared by both E²GCL step variants: the mutable
-/// cross-epoch state is exactly the encoder weights, the Adam moments and
-/// the training RNG — selection, view generator and adjacency are rebuilt
-/// deterministically from the run's master seed before `restore` is called.
-fn e2gcl_snapshot(encoder: &Encoder, opt: &Adam, rng: &SeedRng) -> StepState {
-    StepState::pack_trainer(encoder.params(), &[], opt, rng)
-}
-
-fn e2gcl_restore(
-    encoder: &mut Encoder,
-    opt: &mut Adam,
-    rng: &mut SeedRng,
-    state: &StepState,
-) -> Result<(), TrainError> {
-    let s = state.unpack_trainer(encoder.params().len(), 0)?;
-    restore_params(encoder.params_mut(), &s.params)?;
-    opt.restore_state(s.adam_t, s.adam_m, s.adam_v);
-    *rng = s.rng;
-    Ok(())
 }
 
 /// Which contrastive objective E²GCL trains with (DESIGN.md §6 ablation:
@@ -319,292 +200,25 @@ impl E2gclModel {
     }
 }
 
-impl E2gclModel {
-    /// The literal Alg. 3 training loop: every anchor gets two freshly
-    /// sampled ego views per epoch, each encoded independently, and the
-    /// Eq. (5) loss compares the *centre* representations. Quadratically
-    /// more encoder work than the batched form — small graphs only.
-    fn pretrain_per_node(
-        &self,
-        g: &CsrGraph,
-        x: &Matrix,
-        cfg: &TrainConfig,
-        rng: &mut SeedRng,
-    ) -> Result<PretrainResult, TrainError> {
-        let start = Instant::now();
-        let selection = self.select_nodes(g, x, &mut rng.fork("selector"));
-        let selection_time = start.elapsed();
-        let generator = ViewGenerator::new(g, x, self.view_config(), &mut rng.fork("views"));
-        let encoder = Encoder::new(self.config.encoder, x.cols(), cfg, &mut rng.fork("init"));
-        let adj_orig = encoder.adjacency(g);
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let train_rng = rng.fork("train");
-        let mut step = E2gclPerNodeStep {
-            model: self,
-            x,
-            cfg,
-            selection,
-            generator,
-            encoder,
-            adj_orig,
-            opt,
-            train_rng,
-            grads: Vec::new(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: Some(step.encoder.into_frozen()),
-            selection_time,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
-    }
-}
-
-impl E2gclModel {
-    /// Mini-batch E²GCL (DESIGN.md §13). Selection (Alg. 2) still runs on
-    /// the full graph — it is a one-off preprocessing pass — but each epoch
-    /// shuffles the selected anchors into seed batches, samples a
-    /// fanout-bounded [`e2gcl_graph::GraphView`] per batch, corrupts the
-    /// subgraph uniformly with the view parameters (edges kept at rate `τ`,
-    /// features perturbed at rate `η`) and trains batch-local InfoNCE over
-    /// the anchor rows.
-    ///
-    /// Two documented deviations from the full-graph step:
-    /// * every selected anchor is visited once per epoch (uniform coverage)
-    ///   instead of λ-weighted resampling — the importance weights steer a
-    ///   *global* batch sampler the partitioned walk replaces;
-    /// * the objective is always InfoNCE regardless of `config.loss`:
-    ///   Eq. (5)'s negative sampling assumes a global anchor pool, while
-    ///   NT-Xent uses the rest of the batch as negatives, which is exactly
-    ///   what a sampled subgraph provides.
-    fn pretrain_minibatch(
-        &self,
-        g: &CsrGraph,
-        x: &Matrix,
-        cfg: &TrainConfig,
-        mb: &MinibatchConfig,
-        rng: &mut SeedRng,
-    ) -> Result<PretrainResult, TrainError> {
-        let start = Instant::now();
-        let selection = self.select_nodes(g, x, &mut rng.fork("selector"));
-        let selection_time = start.elapsed();
-        let encoder = Encoder::new(self.config.encoder, x.cols(), cfg, &mut rng.fork("init"));
-        let adj_orig = encoder.adjacency(g);
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let train_rng = rng.fork("train");
-        // Sample exactly the encoder's receptive field: deeper nodes cannot
-        // influence the anchor rows the loss reads.
-        let hops = cfg.encoder_dims(x.cols()).len() - 1;
-        let mut step = E2gclMinibatchStep {
-            model: self,
-            g,
-            x,
-            selection,
-            batch_nodes: mb.batch_nodes,
-            sampler: NeighborSampler::new(hops, mb.fanout),
-            encoder,
-            adj_orig,
-            opt,
-            train_rng,
-            grads: Vec::new(),
-            nce: InfoNceScratch::default(),
-            loss_state: InfoNceStrategy::from_config(&cfg.loss, 0.5),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: Some(step.encoder.into_frozen()),
-            selection_time,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
-    }
-}
-
-/// One mini-batch E²GCL epoch: per anchor batch, sample a subgraph view,
-/// corrupt it twice, encode both corrupted views, InfoNCE over the anchor
-/// rows, and accumulate encoder gradients at `1/num_batches` so the applied
-/// update is the mean over batches.
-struct E2gclMinibatchStep<'a> {
-    model: &'a E2gclModel,
-    g: &'a CsrGraph,
-    x: &'a Matrix,
-    selection: Selection,
-    batch_nodes: usize,
-    sampler: NeighborSampler,
-    encoder: Encoder,
-    adj_orig: SparseMatrix,
-    opt: Adam,
-    train_rng: SeedRng,
-    grads: Vec<Matrix>,
-    nce: InfoNceScratch,
-    loss_state: InfoNceStrategy,
-}
-
-impl EpochStep for E2gclMinibatchStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let conf = &self.model.config;
-        let anchors = &self.selection.nodes;
-        if anchors.is_empty() {
-            return EpochOutcome::Stop;
-        }
-        let mut order: Vec<usize> = anchors.clone();
-        self.train_rng.shuffle(&mut order);
-        let num_batches = order.len().div_ceil(self.batch_nodes).max(1) as f32;
-        let mut acc: Option<Vec<Matrix>> = None;
-        let mut epoch_loss = 0.0f32;
-        let mut embeddings_bad = false;
-        let mut stepped = 0usize;
-        for seeds in order.chunks(self.batch_nodes) {
-            if seeds.len() < 2 {
-                continue;
-            }
-            let view = self.sampler.sample(self.g, seeds, &mut self.train_rng);
-            let xv = view.features(self.x);
-            // Subgraph-local uniform corruption: keep edges at rate τ and
-            // perturb feature entries at rate η (the uniform ablation of
-            // Alg. 3 applied to the sampled view).
-            let g1 =
-                uniform::drop_edges_uniform(&view.graph, 1.0 - conf.tau_hat, &mut self.train_rng);
-            let mut x1 = uniform::perturb_features_uniform(&xv, conf.eta_hat, &mut self.train_rng);
-            let g2 =
-                uniform::drop_edges_uniform(&view.graph, 1.0 - conf.tau_tilde, &mut self.train_rng);
-            let x2 = uniform::perturb_features_uniform(&xv, conf.eta_tilde, &mut self.train_rng);
-            cx.fault.corrupt_features(cx.epoch, &mut x1);
-            let a1 = self.encoder.adjacency(&g1);
-            let a2 = self.encoder.adjacency(&g2);
-            let (h1, c1) = self.encoder.forward(&a1, &x1);
-            let (h2, c2) = self.encoder.forward(&a2, &x2);
-            let locals: Vec<usize> = seeds
-                .iter()
-                .map(|&v| view.local(v).expect("anchor is in its sampled view"))
-                .collect();
-            let scale = 1.0 / num_batches;
-            match &mut self.loss_state {
-                InfoNceStrategy::Full => {
-                    let hb1 = h1.select_rows(&locals);
-                    let hb2 = h2.select_rows(&locals);
-                    let batch_loss = loss::info_nce_with(&hb1, &hb2, 0.5, &mut self.nce);
-                    epoch_loss += batch_loss / num_batches;
-                    let mut d_h1 = Matrix::zeros(h1.rows(), h1.cols());
-                    let mut d_h2 = Matrix::zeros(h2.rows(), h2.cols());
-                    for (i, &l) in locals.iter().enumerate() {
-                        d_h1.set_row(l, self.nce.d_z1().row(i));
-                        d_h2.set_row(l, self.nce.d_z2().row(i));
-                    }
-                    GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a1, &c1, &d_h1), scale);
-                    GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a2, &c2, &d_h2), scale);
-                    embeddings_bad = embeddings_bad || cx.guard.embeddings_bad(&[&hb1, &hb2]);
-                }
-                InfoNceStrategy::SmallNeg { k, strat } => {
-                    // Negatives come from the anchor rows of this batch's
-                    // sampled view, re-selected per batch on current
-                    // embeddings.
-                    let hb1 = h1.select_rows(&locals);
-                    let hb2 = h2.select_rows(&locals);
-                    let mut sel_rng = self.train_rng.fork("negatives");
-                    strat.set_negatives(&select_negatives(&hb1, *k, &mut sel_rng));
-                    let batch_loss = strat.compute(&hb1, &hb2);
-                    epoch_loss += batch_loss / num_batches;
-                    let mut d_h1 = Matrix::zeros(h1.rows(), h1.cols());
-                    let mut d_h2 = Matrix::zeros(h2.rows(), h2.cols());
-                    for (i, &l) in locals.iter().enumerate() {
-                        d_h1.set_row(l, strat.d_z1().row(i));
-                        d_h2.set_row(l, strat.d_z2().row(i));
-                    }
-                    GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a1, &c1, &d_h1), scale);
-                    GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a2, &c2, &d_h2), scale);
-                    embeddings_bad = embeddings_bad || cx.guard.embeddings_bad(&[&hb1, &hb2]);
-                }
-                InfoNceStrategy::Localized { hops, strat } => {
-                    // Topology is the *uncorrupted* sampled view; anchors
-                    // are the seed rows, negatives their L-hop neighbours
-                    // inside the view. No row selection: gradients land on
-                    // anchor and neighbour rows directly.
-                    strat.set_topology(Neighborhoods::from_graph(&view.graph, *hops));
-                    let mut anchor_ids = locals.clone();
-                    anchor_ids.sort_unstable();
-                    strat.set_anchors(Some(anchor_ids));
-                    let batch_loss = strat.compute(&h1, &h2);
-                    epoch_loss += batch_loss / num_batches;
-                    GcnEncoder::accumulate(
-                        &mut acc,
-                        self.encoder.backward(&a1, &c1, strat.d_z1()),
-                        scale,
-                    );
-                    GcnEncoder::accumulate(
-                        &mut acc,
-                        self.encoder.backward(&a2, &c2, strat.d_z2()),
-                        scale,
-                    );
-                    embeddings_bad = embeddings_bad || cx.guard.embeddings_bad(&[&h1, &h2]);
-                }
-            }
-            stepped += 1;
-        }
-        if stepped == 0 {
-            return EpochOutcome::SkipSilently;
-        }
-        self.grads = acc.unwrap_or_default();
-        EpochOutcome::Step {
-            loss: epoch_loss,
-            embeddings_bad,
-        }
-    }
-
-    fn grads_mut(&mut self) -> &mut [Matrix] {
-        &mut self.grads
-    }
-
-    fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt.step(self.encoder.params_mut(), &self.grads);
-    }
-
-    fn embed(&mut self) -> Matrix {
-        self.encoder.embed(&self.adj_orig, self.x)
-    }
-
-    fn snapshot(&mut self) -> Option<StepState> {
-        Some(e2gcl_snapshot(&self.encoder, &self.opt, &self.train_rng))
-    }
-
-    fn restore(&mut self, state: &StepState) -> Result<(), TrainError> {
-        e2gcl_restore(&mut self.encoder, &mut self.opt, &mut self.train_rng, state)
-    }
-}
-
 /// One literal Alg. 3 epoch: two fresh ego views per anchor, each encoded
-/// independently, Eq. (5) on the centre representations.
-struct E2gclPerNodeStep<'a> {
-    model: &'a E2gclModel,
-    x: &'a Matrix,
-    cfg: &'a TrainConfig,
-    selection: Selection,
-    generator: ViewGenerator,
-    encoder: Encoder,
-    adj_orig: SparseMatrix,
-    opt: Adam,
-    train_rng: SeedRng,
-    grads: Vec<Matrix>,
-}
+/// independently, Eq. (5) on the centre representations. Quadratically
+/// more encoder work than the batched form — small graphs only; it shares
+/// the batched step's state and serves as its test oracle.
+struct E2gclPerNodeStep<'s, 'a>(&'s mut E2gclBatchedStep<'a>);
 
-impl EpochStep for E2gclPerNodeStep<'_> {
+impl EpochStep for E2gclPerNodeStep<'_, '_> {
     fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let conf = &self.model.config;
-        let cfg = self.cfg;
-        let anchors = &self.selection.nodes;
-        let weights = &self.selection.weights;
+        let s = &mut *self.0;
+        let conf = &s.model.config;
+        let cfg = s.cfg;
+        let anchors = &s.selection.nodes;
+        let weights = &s.selection.weights;
         if anchors.is_empty() {
             return EpochOutcome::Stop;
         }
         let bsz = cfg.batch_size.min(anchors.len());
         let batch: Vec<usize> = (0..bsz)
-            .map(|_| anchors[self.train_rng.weighted_index(weights)])
+            .map(|_| anchors[s.train_rng.weighted_index(weights)])
             .collect();
         // Encode each anchor's two ego views; remember everything the
         // backward pass needs.
@@ -612,54 +226,35 @@ impl EpochStep for E2gclPerNodeStep<'_> {
         let mut hb2 = Matrix::zeros(bsz, cfg.embed_dim);
         let mut ctx = Vec::with_capacity(bsz);
         for (i, &v) in batch.iter().enumerate() {
-            let va =
-                self.generator
-                    .sample_ego_view(v, conf.tau_hat, conf.eta_hat, &mut self.train_rng);
-            let vb = self.generator.sample_ego_view(
-                v,
-                conf.tau_tilde,
-                conf.eta_tilde,
-                &mut self.train_rng,
-            );
-            let aa = self.encoder.adjacency(&va.graph);
-            let ab = self.encoder.adjacency(&vb.graph);
-            let (ha, ca) = self.encoder.forward(&aa, &va.features);
-            let (hb, cb) = self.encoder.forward(&ab, &vb.features);
+            let va = s
+                .generator
+                .sample_ego_view(v, conf.tau_hat, conf.eta_hat, &mut s.train_rng);
+            let vb =
+                s.generator
+                    .sample_ego_view(v, conf.tau_tilde, conf.eta_tilde, &mut s.train_rng);
+            let aa = s.encoder.adjacency(&va.graph);
+            let ab = s.encoder.adjacency(&vb.graph);
+            let (ha, ca) = s.encoder.forward(&aa, &va.features);
+            let (hb, cb) = s.encoder.forward(&ab, &vb.features);
             hb1.set_row(i, ha.row(va.center));
             hb2.set_row(i, hb.row(vb.center));
             ctx.push((va, aa, ca, ha.rows(), vb, ab, cb, hb.rows()));
         }
         let negatives: Vec<Vec<usize>> = (0..bsz)
-            .map(|i| sample_negative_indices(bsz, i, conf.negatives, &mut self.train_rng))
+            .map(|i| sample_negative_indices(bsz, i, conf.negatives, &mut s.train_rng))
             .collect();
-        let (d1, d2, batch_loss) = if conf.normalize {
-            let (u1, n1) = loss::normalize_rows(&hb1);
-            let (u2, n2) = loss::normalize_rows(&hb2);
-            let out = loss::margin_contrastive(&u1, &u2, &u2, &negatives, conf.margin);
-            let mut du2 = out.d_tilde;
-            du2.add_assign(&out.d_neg);
-            (
-                loss::normalize_backward(&u1, &n1, &out.d_hat),
-                loss::normalize_backward(&u2, &n2, &du2),
-                out.loss,
-            )
-        } else {
-            let out = loss::margin_contrastive(&hb1, &hb2, &hb2, &negatives, conf.margin);
-            let mut du2 = out.d_tilde;
-            du2.add_assign(&out.d_neg);
-            (out.d_hat, du2, out.loss)
-        };
+        let (d1, d2, batch_loss) = margin_loss(conf, &hb1, &hb2, &negatives);
         // Backprop each ego view with a one-hot centre-row gradient.
         let mut acc: Option<Vec<Matrix>> = None;
         for (i, (va, aa, ca, na, vb, ab, cb, nb)) in ctx.iter().enumerate() {
             let mut da = Matrix::zeros(*na, cfg.embed_dim);
             da.set_row(va.center, d1.row(i));
-            GcnEncoder::accumulate(&mut acc, self.encoder.backward(aa, ca, &da), 1.0);
+            GcnEncoder::accumulate(&mut acc, s.encoder.backward(aa, ca, &da), 1.0);
             let mut db = Matrix::zeros(*nb, cfg.embed_dim);
             db.set_row(vb.center, d2.row(i));
-            GcnEncoder::accumulate(&mut acc, self.encoder.backward(ab, cb, &db), 1.0);
+            GcnEncoder::accumulate(&mut acc, s.encoder.backward(ab, cb, &db), 1.0);
         }
-        self.grads = acc.unwrap_or_default();
+        s.grads = acc.unwrap_or_default();
         let embeddings_bad = cx.guard.embeddings_bad(&[&hb1, &hb2]);
         EpochOutcome::Step {
             loss: batch_loss,
@@ -668,24 +263,23 @@ impl EpochStep for E2gclPerNodeStep<'_> {
     }
 
     fn grads_mut(&mut self) -> &mut [Matrix] {
-        &mut self.grads
+        self.0.grads_mut()
     }
 
-    fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt.step(self.encoder.params_mut(), &self.grads);
+    fn apply(&mut self, epoch: usize, lr: f32, loss: f32) {
+        self.0.apply(epoch, lr, loss);
     }
 
     fn embed(&mut self) -> Matrix {
-        self.encoder.embed(&self.adj_orig, self.x)
+        self.0.embed()
     }
 
     fn snapshot(&mut self) -> Option<StepState> {
-        Some(e2gcl_snapshot(&self.encoder, &self.opt, &self.train_rng))
+        self.0.snapshot()
     }
 
     fn restore(&mut self, state: &StepState) -> Result<(), TrainError> {
-        e2gcl_restore(&mut self.encoder, &mut self.opt, &mut self.train_rng, state)
+        self.0.restore(state)
     }
 }
 
@@ -694,6 +288,13 @@ impl ContrastiveModel for E2gclModel {
         "E2GCL".to_string()
     }
 
+    /// Dispatches on view mode, mini-batch block and loss strategy: the
+    /// literal per-node Alg. 3 step; the paper's λ-weighted Eq. (5) step on
+    /// the whole graph (`LossStrategy::Full`); or the shared InfoNCE step
+    /// for a sub-quadratic strategy on the whole graph and for every
+    /// strategy on sampled views (DESIGN.md §13, §15). A degenerate
+    /// mini-batch block trains on the whole graph, bitwise identical to
+    /// `minibatch: None`.
     fn pretrain(
         &self,
         g: &CsrGraph,
@@ -703,23 +304,16 @@ impl ContrastiveModel for E2gclModel {
     ) -> Result<PretrainResult, TrainError> {
         // Before any dispatch: every path below starts with selection.
         ensure_finite_features(x)?;
-        if let Some(mb) = &cfg.minibatch {
-            if self.config.view_mode == ViewMode::PerNodeEgo {
+        let conf = &self.config;
+        let per_node = conf.view_mode == ViewMode::PerNodeEgo;
+        if per_node {
+            if cfg.minibatch.is_some() {
                 return Err(TrainError::InvalidConfig(
                     "per-node ego view mode has no mini-batch form; \
                      use ViewMode::GlobalBatched"
                         .into(),
                 ));
             }
-            if !mb.is_full_batch(g.num_nodes()) {
-                return self.pretrain_minibatch(g, x, cfg, mb, rng);
-            }
-            // Degenerate mini-batch (whole graph in one batch, unlimited
-            // fanout): fall through to the full-graph step *before* drawing
-            // any extra randomness, so the run is bitwise identical to
-            // `minibatch: None` (tests/minibatch_equivalence.rs).
-        }
-        if self.config.view_mode == ViewMode::PerNodeEgo {
             if !cfg.loss.is_full() {
                 return Err(TrainError::InvalidConfig(
                     "per-node ego view mode supports only the full contrastive \
@@ -727,55 +321,114 @@ impl ContrastiveModel for E2gclModel {
                         .into(),
                 ));
             }
-            return self.pretrain_per_node(g, x, cfg, rng);
         }
+        let sampled = sampled_minibatch(cfg, g.num_nodes()).is_some();
         let start = Instant::now();
         // ---- Node selection (Alg. 2) ----
         let selection = self.select_nodes(g, x, &mut rng.fork("selector"));
         let selection_time = start.elapsed();
-        // ---- View generator setup (Alg. 3 precomputation) ----
-        let generator = ViewGenerator::new(g, x, self.view_config(), &mut rng.fork("views"));
-        // ---- Encoder + optimiser ----
-        let encoder = Encoder::new(self.config.encoder, x.cols(), cfg, &mut rng.fork("init"));
-        let adj_orig = encoder.adjacency(g);
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let train_rng = rng.fork("train");
-        let mut loss_state = InfoNceStrategy::from_config(&cfg.loss, 0.5);
-        if let InfoNceStrategy::Localized { hops, strat } = &mut loss_state {
-            // Fixed per run: the topology of the *original* graph and the
-            // selected anchors (global-view corruption keeps node ids).
-            strat.set_topology(Neighborhoods::from_graph(g, *hops));
-            let mut anchor_ids = selection.nodes.clone();
-            anchor_ids.sort_unstable();
-            strat.set_anchors(Some(anchor_ids));
-        }
-        let mut step = E2gclBatchedStep {
-            model: self,
+        // ---- Global view generator (Alg. 3 precomputation) ----
+        let generator = (!sampled)
+            .then(|| ViewGenerator::new(g, x, self.view_config(), &mut rng.fork("views")));
+        let encoder = Encoder::new(conf.encoder, x.cols(), cfg, &mut rng.fork("init"));
+        let generator = match generator {
+            Some(generator) if cfg.loss.is_full() => {
+                let mut step = E2gclBatchedStep {
+                    model: self,
+                    x,
+                    cfg,
+                    selection,
+                    generator,
+                    adj_orig: encoder.adjacency(g),
+                    encoder,
+                    opt: Adam::with_weight_decay(cfg.lr, cfg.weight_decay),
+                    train_rng: rng.fork("train"),
+                    grads: Vec::new(),
+                };
+                let run = if per_node {
+                    EpochDriver::new(cfg).run(&mut E2gclPerNodeStep(&mut step), start)?
+                } else {
+                    EpochDriver::new(cfg).run(&mut step, start)?
+                };
+                let encoder = step.encoder.into_frozen();
+                return Ok(PretrainResult::from_run(
+                    run,
+                    encoder,
+                    selection_time,
+                    start,
+                ));
+            }
+            generator => generator,
+        };
+        // Whole graph: importance-aware global views. Sampled view: uniform
+        // corruption, edges kept at rate τ and features perturbed at rate η.
+        let augment = |g: &CsrGraph, x: &Matrix, rng: &mut SeedRng| -> ViewPair {
+            match &generator {
+                Some(gen) => [
+                    gen.sample_global_view(conf.tau_hat, conf.eta_hat, rng),
+                    gen.sample_global_view(conf.tau_tilde, conf.eta_tilde, rng),
+                ],
+                None => [
+                    (
+                        uniform::drop_edges_uniform(g, 1.0 - conf.tau_hat, rng),
+                        uniform::perturb_features_uniform(x, conf.eta_hat, rng),
+                    ),
+                    (
+                        uniform::drop_edges_uniform(g, 1.0 - conf.tau_tilde, rng),
+                        uniform::perturb_features_uniform(x, conf.eta_tilde, rng),
+                    ),
+                ],
+            }
+        };
+        let twin = Twin::new(encoder);
+        let anchors = Some(selection.nodes);
+        InfoNceStep::new(
+            g,
             x,
             cfg,
-            selection,
-            generator,
-            encoder,
-            adj_orig,
-            opt,
-            train_rng,
-            grads: Vec::new(),
-            loss_state,
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: Some(step.encoder.into_frozen()),
-            selection_time,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
+            augment,
+            twin,
+            None,
+            anchors,
+            0.5,
+            rng.fork("train"),
+        )
+        .run(start, selection_time)
     }
 }
 
-/// One batched E²GCL epoch: two global views, λ-weighted anchor batches,
-/// Eq. (5) (or InfoNCE) on rows read out of the shared forward passes.
+/// Eq. (5) over row-aligned anchor embeddings, on the unit sphere when
+/// `conf.normalize` is set (gradients pulled back through the
+/// normalisation Jacobian); returns `(∂L/∂h1, ∂L/∂h2, loss)`.
+fn margin_loss(
+    conf: &E2gclConfig,
+    h1: &Matrix,
+    h2: &Matrix,
+    negatives: &[Vec<usize>],
+) -> (Matrix, Matrix, f32) {
+    let unit = conf
+        .normalize
+        .then(|| (loss::normalize_rows(h1), loss::normalize_rows(h2)));
+    let (z1, z2) = match &unit {
+        Some(((u1, _), (u2, _))) => (u1, u2),
+        None => (h1, h2),
+    };
+    let out = loss::margin_contrastive(z1, z2, z2, negatives, conf.margin);
+    let mut d2 = out.d_tilde;
+    d2.add_assign(&out.d_neg);
+    match &unit {
+        Some(((u1, n1), (u2, n2))) => (
+            loss::normalize_backward(u1, n1, &out.d_hat),
+            loss::normalize_backward(u2, n2, &d2),
+            out.loss,
+        ),
+        None => (out.d_hat, d2, out.loss),
+    }
+}
+
+/// One batched E²GCL epoch under `LossStrategy::Full`: two global views,
+/// λ-weighted anchor batches, Eq. (5) (or the `LossKind::InfoNce`
+/// ablation) on rows read out of the shared forward passes.
 struct E2gclBatchedStep<'a> {
     model: &'a E2gclModel,
     x: &'a Matrix,
@@ -787,7 +440,6 @@ struct E2gclBatchedStep<'a> {
     opt: Adam,
     train_rng: SeedRng,
     grads: Vec<Matrix>,
-    loss_state: InfoNceStrategy,
 }
 
 impl EpochStep for E2gclBatchedStep<'_> {
@@ -811,123 +463,45 @@ impl EpochStep for E2gclBatchedStep<'_> {
         let a2 = self.encoder.adjacency(&g2);
         let (h1, c1) = self.encoder.forward(&a1, &x1);
         let (h2, c2) = self.encoder.forward(&a2, &x2);
+        let mut d_h1 = Matrix::zeros(h1.rows(), h1.cols());
+        let mut d_h2 = Matrix::zeros(h2.rows(), h2.cols());
+        // λ-weighted anchor batches: sampling anchors ∝ λ reproduces
+        // the Eq. (8) weighting in expectation while keeping the
+        // per-batch loss unweighted.
+        let num_batches = anchors.len().div_ceil(cfg.batch_size).max(1);
+        let mut epoch_loss = 0.0f32;
+        for _ in 0..num_batches {
+            let bsz = cfg.batch_size.min(anchors.len());
+            let batch: Vec<usize> = (0..bsz)
+                .map(|_| anchors[self.train_rng.weighted_index(weights)])
+                .collect();
+            let hb1 = h1.select_rows(&batch);
+            let hb2 = h2.select_rows(&batch);
+            let negatives: Vec<Vec<usize>> = (0..bsz)
+                .map(|i| sample_negative_indices(bsz, i, conf.negatives, &mut self.train_rng))
+                .collect();
+            let (d_hat, d_tilde_and_neg, batch_loss) = if conf.loss == LossKind::InfoNce {
+                let out = loss::info_nce(&hb1, &hb2, 0.5);
+                (out.d_z1, out.d_z2, out.loss)
+            } else {
+                margin_loss(conf, &hb1, &hb2, &negatives)
+            };
+            epoch_loss += batch_loss / num_batches as f32;
+            // Scatter batch gradients back to full-view rows.
+            for (i, &v) in batch.iter().enumerate() {
+                for (dst, &src) in d_h1.row_mut(v).iter_mut().zip(d_hat.row(i)) {
+                    *dst += src / num_batches as f32;
+                }
+                for (dst, &src) in d_h2.row_mut(v).iter_mut().zip(d_tilde_and_neg.row(i)) {
+                    *dst += src / num_batches as f32;
+                }
+            }
+        }
+        // Backprop both views and accumulate; the engine decides whether
+        // this epoch's update is applied.
         let mut acc = None;
-        let epoch_loss = match &mut self.loss_state {
-            InfoNceStrategy::Full => {
-                let mut d_h1 = Matrix::zeros(h1.rows(), h1.cols());
-                let mut d_h2 = Matrix::zeros(h2.rows(), h2.cols());
-                // λ-weighted anchor batches: sampling anchors ∝ λ reproduces
-                // the Eq. (8) weighting in expectation while keeping the
-                // per-batch loss unweighted.
-                let num_batches = anchors.len().div_ceil(cfg.batch_size).max(1);
-                let mut epoch_loss = 0.0f32;
-                for _ in 0..num_batches {
-                    let bsz = cfg.batch_size.min(anchors.len());
-                    let batch: Vec<usize> = (0..bsz)
-                        .map(|_| anchors[self.train_rng.weighted_index(weights)])
-                        .collect();
-                    let hb1 = h1.select_rows(&batch);
-                    let hb2 = h2.select_rows(&batch);
-                    let negatives: Vec<Vec<usize>> = (0..bsz)
-                        .map(|i| {
-                            sample_negative_indices(bsz, i, conf.negatives, &mut self.train_rng)
-                        })
-                        .collect();
-                    // Optionally compute the loss on the unit sphere, then
-                    // pull gradients back through the normalisation Jacobian.
-                    let (d_hat, d_tilde_and_neg, batch_loss) = if conf.loss == LossKind::InfoNce {
-                        let out = loss::info_nce(&hb1, &hb2, 0.5);
-                        (out.d_z1, out.d_z2, out.loss)
-                    } else if conf.normalize {
-                        let (u1, n1) = loss::normalize_rows(&hb1);
-                        let (u2, n2) = loss::normalize_rows(&hb2);
-                        let out = loss::margin_contrastive(&u1, &u2, &u2, &negatives, conf.margin);
-                        let mut du2 = out.d_tilde;
-                        du2.add_assign(&out.d_neg);
-                        (
-                            loss::normalize_backward(&u1, &n1, &out.d_hat),
-                            loss::normalize_backward(&u2, &n2, &du2),
-                            out.loss,
-                        )
-                    } else {
-                        let out =
-                            loss::margin_contrastive(&hb1, &hb2, &hb2, &negatives, conf.margin);
-                        let mut du2 = out.d_tilde;
-                        du2.add_assign(&out.d_neg);
-                        (out.d_hat, du2, out.loss)
-                    };
-                    epoch_loss += batch_loss / num_batches as f32;
-                    // Scatter batch gradients back to full-view rows.
-                    for (i, &v) in batch.iter().enumerate() {
-                        for (dst, &src) in d_h1.row_mut(v).iter_mut().zip(d_hat.row(i)) {
-                            *dst += src / num_batches as f32;
-                        }
-                        for (dst, &src) in d_h2.row_mut(v).iter_mut().zip(d_tilde_and_neg.row(i)) {
-                            *dst += src / num_batches as f32;
-                        }
-                    }
-                }
-                // Backprop both views and accumulate; the engine decides
-                // whether this epoch's update is applied.
-                GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a1, &c1, &d_h1), 1.0);
-                GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a2, &c2, &d_h2), 1.0);
-                epoch_loss
-            }
-            InfoNceStrategy::SmallNeg { k, strat } => {
-                // Sub-quadratic path (DESIGN.md §15): every selected anchor
-                // trains once per epoch against k representative negatives
-                // re-selected on the current view-1 embeddings; replaces the
-                // λ-resampled batch loop and the `LossKind` objective.
-                let mut sel_rng = self.train_rng.fork("negatives");
-                let identity =
-                    anchors.len() == h1.rows() && anchors.iter().enumerate().all(|(i, &v)| i == v);
-                if identity {
-                    strat.set_negatives(&select_negatives(&h1, *k, &mut sel_rng));
-                    let epoch_loss = strat.compute(&h1, &h2);
-                    GcnEncoder::accumulate(
-                        &mut acc,
-                        self.encoder.backward(&a1, &c1, strat.d_z1()),
-                        1.0,
-                    );
-                    GcnEncoder::accumulate(
-                        &mut acc,
-                        self.encoder.backward(&a2, &c2, strat.d_z2()),
-                        1.0,
-                    );
-                    epoch_loss
-                } else {
-                    let hb1 = h1.select_rows(anchors);
-                    let hb2 = h2.select_rows(anchors);
-                    strat.set_negatives(&select_negatives(&hb1, *k, &mut sel_rng));
-                    let epoch_loss = strat.compute(&hb1, &hb2);
-                    let mut d_h1 = Matrix::zeros(h1.rows(), h1.cols());
-                    let mut d_h2 = Matrix::zeros(h2.rows(), h2.cols());
-                    for (i, &v) in anchors.iter().enumerate() {
-                        d_h1.set_row(v, strat.d_z1().row(i));
-                        d_h2.set_row(v, strat.d_z2().row(i));
-                    }
-                    GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a1, &c1, &d_h1), 1.0);
-                    GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a2, &c2, &d_h2), 1.0);
-                    epoch_loss
-                }
-            }
-            InfoNceStrategy::Localized { strat, .. } => {
-                // Topology and anchors were fixed at construction; the
-                // sparse kernel reads/writes full-view rows directly.
-                let epoch_loss = strat.compute(&h1, &h2);
-                GcnEncoder::accumulate(
-                    &mut acc,
-                    self.encoder.backward(&a1, &c1, strat.d_z1()),
-                    1.0,
-                );
-                GcnEncoder::accumulate(
-                    &mut acc,
-                    self.encoder.backward(&a2, &c2, strat.d_z2()),
-                    1.0,
-                );
-                epoch_loss
-            }
-        };
+        GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a1, &c1, &d_h1), 1.0);
+        GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a2, &c2, &d_h2), 1.0);
         self.grads = acc.unwrap_or_default();
         let embeddings_bad = cx.guard.embeddings_bad(&[&h1, &h2]);
         EpochOutcome::Step {
@@ -950,17 +524,20 @@ impl EpochStep for E2gclBatchedStep<'_> {
     }
 
     fn snapshot(&mut self) -> Option<StepState> {
-        Some(e2gcl_snapshot(&self.encoder, &self.opt, &self.train_rng))
+        let params = self.encoder.params();
+        Some(infonce::snapshot(params, None, &self.opt, &self.train_rng))
     }
 
     fn restore(&mut self, state: &StepState) -> Result<(), TrainError> {
-        e2gcl_restore(&mut self.encoder, &mut self.opt, &mut self.train_rng, state)
+        let params = self.encoder.params_mut();
+        infonce::restore(params, None, &mut self.opt, &mut self.train_rng, state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MinibatchConfig;
     use e2gcl_datasets::{spec, NodeDataset};
 
     fn tiny_cfg() -> TrainConfig {

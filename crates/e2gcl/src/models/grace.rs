@@ -8,21 +8,14 @@
 //! the missing operations (feature perturbation, edge addition) onto each
 //! view, which the paper shows improves every baseline it upgrades.
 
-use crate::checkpoint::{restore_params, StepState};
-use crate::config::{MinibatchConfig, TrainConfig};
-use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
-use crate::models::{
-    select_negatives, shuffled_batches, ContrastiveModel, InfoNceStrategy, PretrainResult,
-};
-use e2gcl_graph::{norm, CsrGraph, NeighborSampler, SparseMatrix};
+use crate::config::TrainConfig;
+use crate::models::infonce::{InfoNceStep, Twin, ViewPair};
+use crate::models::{sampled_minibatch, ContrastiveModel, PretrainResult};
+use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
-use e2gcl_nn::loss::InfoNceScratch;
-use e2gcl_nn::{
-    loss, optim::Optimizer, Adam, ContrastiveLoss, GcnEncoder, GcnWorkspace, Mlp, MlpWorkspace,
-    Neighborhoods,
-};
+use e2gcl_nn::{GcnEncoder, Mlp};
 use e2gcl_views::{scores::GraphScores, uniform};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration for GRACE and GCA.
 #[derive(Clone, Debug)]
@@ -89,19 +82,18 @@ impl GraceModel {
         Self { config }
     }
 
-    /// Generates one corrupted view.
-    #[allow(clippy::too_many_arguments)]
+    /// Generates one corrupted view of `(g, x)`: adaptive (GCA) when
+    /// `gca` is given, uniform (GRACE) otherwise.
     fn make_view(
         &self,
         g: &CsrGraph,
         x: &Matrix,
-        scores: &GraphScores,
-        edge_probs: Option<&[f32]>,
+        gca: Option<&Gca>,
         p_edge: f32,
         p_feat: f32,
         rng: &mut SeedRng,
     ) -> (CsrGraph, Matrix) {
-        let mut vg = if let Some(probs) = edge_probs {
+        let mut vg = if let Some(probs) = gca.map(|c| &c.edge_probs) {
             // GCA: per-edge adaptive drop probabilities scaled so the mean
             // matches p_edge.
             let mean: f32 = probs.iter().sum::<f32>() / probs.len().max(1) as f32;
@@ -111,9 +103,8 @@ impl GraceModel {
         } else {
             uniform::drop_edges_uniform(g, p_edge, rng)
         };
-        let mut vx = if self.config.adaptive {
+        let mut vx = if let Some(w) = gca.map(|c| &c.feature_weights) {
             // GCA: mask unimportant dimensions more.
-            let w = &scores.feature_global;
             let w_max = w.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let w_mean = w.iter().sum::<f32>() / w.len().max(1) as f32;
             let denom = (w_max - w_mean).max(1e-9);
@@ -131,100 +122,13 @@ impl GraceModel {
         }
         (vg, vx)
     }
+}
 
-    /// The uniform (non-adaptive) corruption pipeline over an arbitrary
-    /// graph/feature pair — what [`Self::make_view`] does when `adaptive`
-    /// is off, applied by the mini-batch step to each sampled subgraph.
-    fn make_uniform_view(
-        &self,
-        g: &CsrGraph,
-        x: &Matrix,
-        p_edge: f32,
-        p_feat: f32,
-        rng: &mut SeedRng,
-    ) -> (CsrGraph, Matrix) {
-        let mut vg = uniform::drop_edges_uniform(g, p_edge, rng);
-        let mut vx = uniform::mask_feature_dims(x, p_feat, rng);
-        if let Some(p) = self.config.extra_feature_perturb {
-            vx = uniform::perturb_features_uniform(&vx, p, rng);
-        }
-        if let Some(frac) = self.config.extra_edge_add {
-            let count = ((g.num_edges() as f32) * frac).round() as usize;
-            vg = uniform::add_edges_uniform(&vg, count, rng);
-        }
-        (vg, vx)
-    }
-
-    /// Mini-batch GRACE (DESIGN.md §13): each epoch shuffles the node set
-    /// into seed batches of `mb.batch_nodes`, samples a fanout-bounded
-    /// [`e2gcl_graph::GraphView`] per batch, corrupts the *subgraph* into
-    /// two views and trains InfoNCE over the seed rows only. Only uniform
-    /// (non-adaptive) corruption is supported: GCA's adaptive probabilities
-    /// are global centrality statistics a sampled subgraph cannot
-    /// reproduce.
-    fn pretrain_minibatch(
-        &self,
-        g: &CsrGraph,
-        x: &Matrix,
-        cfg: &TrainConfig,
-        mb: &MinibatchConfig,
-        rng: &mut SeedRng,
-    ) -> Result<PretrainResult, TrainError> {
-        if self.config.adaptive {
-            return Err(TrainError::InvalidConfig(
-                "GCA's adaptive corruption needs full-graph centrality scores; \
-                 mini-batch training supports uniform (GRACE) corruption only"
-                    .into(),
-            ));
-        }
-        let start = Instant::now();
-        let adj_orig = norm::normalized_adjacency(g);
-        let encoder = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("init"));
-        let head = Mlp::new(
-            cfg.embed_dim,
-            self.config.proj_dim,
-            self.config.proj_dim,
-            &mut rng.fork("head"),
-        );
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let train_rng = rng.fork("train");
-        // Sample exactly the encoder's receptive field: deeper nodes cannot
-        // influence the seed rows the loss reads.
-        let hops = cfg.encoder_dims(x.cols()).len() - 1;
-        let mut step = GraceMinibatchStep {
-            model: self,
-            g,
-            x,
-            cfg,
-            batch_nodes: mb.batch_nodes,
-            sampler: NeighborSampler::new(hops, mb.fanout),
-            adj_orig,
-            encoder,
-            head,
-            opt,
-            train_rng,
-            loss_state: InfoNceStrategy::from_config(&cfg.loss, self.config.tau),
-            grads: Vec::new(),
-            ws1: GcnWorkspace::new(),
-            ws2: GcnWorkspace::new(),
-            head_ws1: MlpWorkspace::new(),
-            head_ws2: MlpWorkspace::new(),
-            nce: InfoNceScratch::default(),
-            d_h1: Matrix::default(),
-            d_h2: Matrix::default(),
-            hb1: Matrix::default(),
-            hb2: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: Some(e2gcl_nn::FrozenEncoder::Gcn(step.encoder)),
-            selection_time: std::time::Duration::ZERO,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
-    }
+/// GCA's adaptive corruption probabilities: whole-graph centrality
+/// statistics, which a sampled subgraph cannot reproduce.
+struct Gca {
+    edge_probs: Vec<f32>,
+    feature_weights: Vec<f32>,
 }
 
 impl ContrastiveModel for GraceModel {
@@ -240,6 +144,11 @@ impl ContrastiveModel for GraceModel {
         name
     }
 
+    /// Trains a GCN + projection head with symmetric InfoNCE through the
+    /// shared InfoNCE step: over the whole graph, or (DESIGN.md §13) over
+    /// one fanout-bounded sampled view per shuffled seed batch, every node
+    /// anchoring once per epoch. A degenerate mini-batch block trains on
+    /// the whole graph, bitwise identical to `minibatch: None`.
     fn pretrain(
         &self,
         g: &CsrGraph,
@@ -247,511 +156,53 @@ impl ContrastiveModel for GraceModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        if let Some(mb) = &cfg.minibatch {
-            if !mb.is_full_batch(g.num_nodes()) {
-                return self.pretrain_minibatch(g, x, cfg, mb, rng);
-            }
-            // Degenerate mini-batch (whole graph in one batch, unlimited
-            // fanout): fall through to the full-graph step *before* drawing
-            // any extra randomness, so the run is bitwise identical to
-            // `minibatch: None` (tests/minibatch_equivalence.rs).
+        let conf = &self.config;
+        if conf.adaptive && sampled_minibatch(cfg, g.num_nodes()).is_some() {
+            return Err(TrainError::InvalidConfig(
+                "GCA's adaptive corruption needs full-graph centrality scores; \
+                 mini-batch training supports uniform (GRACE) corruption only"
+                    .into(),
+            ));
         }
         let start = Instant::now();
-        let scores = GraphScores::compute(g, x);
-        let edge_probs = self
-            .config
-            .adaptive
-            .then(|| uniform::gca_edge_drop_probs(g, 1.0));
-        let adj_orig = norm::normalized_adjacency(g);
-        let encoder = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("init"));
+        let gca = conf.adaptive.then(|| Gca {
+            edge_probs: uniform::gca_edge_drop_probs(g, 1.0),
+            feature_weights: GraphScores::compute(g, x).feature_global,
+        });
+        let enc = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("init"));
         let head = Mlp::new(
             cfg.embed_dim,
-            self.config.proj_dim,
-            self.config.proj_dim,
+            conf.proj_dim,
+            conf.proj_dim,
             &mut rng.fork("head"),
         );
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
+        let augment = |g: &CsrGraph, x: &Matrix, rng: &mut SeedRng| -> ViewPair {
+            [
+                self.make_view(g, x, gca.as_ref(), conf.drop_edge.0, conf.mask_feat.0, rng),
+                self.make_view(g, x, gca.as_ref(), conf.drop_edge.1, conf.mask_feat.1, rng),
+            ]
+        };
+        let twin = Twin::gcn(enc);
         let train_rng = rng.fork("train");
-        // Full-batch localized training contrasts within the *original*
-        // graph's L-hop neighbourhoods, so the topology is built once here.
-        let mut loss_state = InfoNceStrategy::from_config(&cfg.loss, self.config.tau);
-        if let InfoNceStrategy::Localized { hops, strat } = &mut loss_state {
-            strat.set_topology(Neighborhoods::from_graph(g, *hops));
-        }
-        let mut step = GraceStep {
-            model: self,
+        InfoNceStep::new(
             g,
             x,
             cfg,
-            scores,
-            edge_probs,
-            adj_orig,
-            encoder,
-            head,
-            opt,
+            augment,
+            twin,
+            Some(head),
+            None,
+            conf.tau,
             train_rng,
-            loss_state,
-            ws1: GcnWorkspace::new(),
-            ws2: GcnWorkspace::new(),
-            head_ws1: MlpWorkspace::new(),
-            head_ws2: MlpWorkspace::new(),
-            nce: InfoNceScratch::default(),
-            d_h1: Matrix::default(),
-            d_h2: Matrix::default(),
-            hb1: Matrix::default(),
-            hb2: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: Some(e2gcl_nn::FrozenEncoder::Gcn(step.encoder)),
-            selection_time: std::time::Duration::ZERO,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
-    }
-}
-
-/// One GRACE/GCA epoch. Encoder and projection-head passes run through
-/// persistent workspaces, so steady-state epochs only allocate for the
-/// sampled views themselves.
-struct GraceStep<'a> {
-    model: &'a GraceModel,
-    g: &'a CsrGraph,
-    x: &'a Matrix,
-    cfg: &'a TrainConfig,
-    scores: GraphScores,
-    edge_probs: Option<Vec<f32>>,
-    adj_orig: SparseMatrix,
-    encoder: GcnEncoder,
-    head: Mlp,
-    opt: Adam,
-    train_rng: SeedRng,
-    loss_state: InfoNceStrategy,
-    ws1: GcnWorkspace,
-    ws2: GcnWorkspace,
-    head_ws1: MlpWorkspace,
-    head_ws2: MlpWorkspace,
-    nce: InfoNceScratch,
-    d_h1: Matrix,
-    d_h2: Matrix,
-    hb1: Matrix,
-    hb2: Matrix,
-}
-
-impl EpochStep for GraceStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let cfg = self.cfg;
-        let conf = &self.model.config;
-        let n = self.g.num_nodes();
-        let (g1, mut x1) = self.model.make_view(
-            self.g,
-            self.x,
-            &self.scores,
-            self.edge_probs.as_deref(),
-            conf.drop_edge.0,
-            conf.mask_feat.0,
-            &mut self.train_rng,
-        );
-        let (g2, x2) = self.model.make_view(
-            self.g,
-            self.x,
-            &self.scores,
-            self.edge_probs.as_deref(),
-            conf.drop_edge.1,
-            conf.mask_feat.1,
-            &mut self.train_rng,
-        );
-        cx.fault.corrupt_features(cx.epoch, &mut x1);
-        let a1 = norm::normalized_adjacency(&g1);
-        let a2 = norm::normalized_adjacency(&g2);
-        self.encoder.forward_with(&a1, &x1, &mut self.ws1);
-        self.encoder.forward_with(&a2, &x2, &mut self.ws2);
-        let epoch_loss = match &mut self.loss_state {
-            InfoNceStrategy::Full => {
-                self.d_h1.reset_zeroed(n, cfg.embed_dim);
-                self.d_h2.reset_zeroed(n, cfg.embed_dim);
-                let batches = shuffled_batches(n, cfg.batch_size, &mut self.train_rng);
-                let num_batches = batches.len() as f32;
-                let mut epoch_loss = 0.0;
-                for batch in batches {
-                    if batch.len() < 2 {
-                        continue;
-                    }
-                    self.ws1.output().select_rows_into(&batch, &mut self.hb1);
-                    self.ws2.output().select_rows_into(&batch, &mut self.hb2);
-                    self.head.forward_with(&self.hb1, &mut self.head_ws1);
-                    self.head.forward_with(&self.hb2, &mut self.head_ws2);
-                    let batch_loss = loss::info_nce_with(
-                        self.head_ws1.output(),
-                        self.head_ws2.output(),
-                        conf.tau,
-                        &mut self.nce,
-                    );
-                    epoch_loss += batch_loss / num_batches;
-                    self.head
-                        .backward_with(&self.hb1, self.nce.d_z1(), &mut self.head_ws1);
-                    self.head
-                        .backward_with(&self.hb2, self.nce.d_z2(), &mut self.head_ws2);
-                    for (i, &v) in batch.iter().enumerate() {
-                        for (dst, &src) in self
-                            .d_h1
-                            .row_mut(v)
-                            .iter_mut()
-                            .zip(self.head_ws1.d_input().row(i))
-                        {
-                            *dst += src / num_batches;
-                        }
-                        for (dst, &src) in self
-                            .d_h2
-                            .row_mut(v)
-                            .iter_mut()
-                            .zip(self.head_ws2.d_input().row(i))
-                        {
-                            *dst += src / num_batches;
-                        }
-                    }
-                    // The head steps inside the epoch, before the guard
-                    // verdict: on a retry only the encoder update is
-                    // discarded (as before).
-                    self.head
-                        .step(self.head_ws1.grads(), cx.lr / num_batches, 0.0);
-                    self.head
-                        .step(self.head_ws2.grads(), cx.lr / num_batches, 0.0);
-                }
-                self.encoder.backward_with(&a1, &mut self.ws1, &self.d_h1);
-                self.encoder.backward_with(&a2, &mut self.ws2, &self.d_h2);
-                epoch_loss
-            }
-            InfoNceStrategy::SmallNeg { k, strat } => {
-                // One full-batch pass: every node anchors, the denominator
-                // is the k representatives re-selected each epoch from the
-                // current view-1 encoder output.
-                let mut sel_rng = self.train_rng.fork("negatives");
-                strat.set_negatives(&select_negatives(self.ws1.output(), *k, &mut sel_rng));
-                self.head
-                    .forward_with(self.ws1.output(), &mut self.head_ws1);
-                self.head
-                    .forward_with(self.ws2.output(), &mut self.head_ws2);
-                let epoch_loss = strat.compute(self.head_ws1.output(), self.head_ws2.output());
-                self.head
-                    .backward_with(self.ws1.output(), strat.d_z1(), &mut self.head_ws1);
-                self.head
-                    .backward_with(self.ws2.output(), strat.d_z2(), &mut self.head_ws2);
-                self.head.step(self.head_ws1.grads(), cx.lr, 0.0);
-                self.head.step(self.head_ws2.grads(), cx.lr, 0.0);
-                self.encoder
-                    .backward_with(&a1, &mut self.ws1, self.head_ws1.d_input());
-                self.encoder
-                    .backward_with(&a2, &mut self.ws2, self.head_ws2.d_input());
-                epoch_loss
-            }
-            InfoNceStrategy::Localized { strat, .. } => {
-                // Neighbourhood-localized training drops the projection
-                // head (per its source paper): the loss reads encoder
-                // outputs directly over the precomputed topology.
-                let epoch_loss = strat.compute(self.ws1.output(), self.ws2.output());
-                self.encoder.backward_with(&a1, &mut self.ws1, strat.d_z1());
-                self.encoder.backward_with(&a2, &mut self.ws2, strat.d_z2());
-                epoch_loss
-            }
-        };
-        // Sum both views' gradients in place (== GcnEncoder::accumulate at
-        // scale 1.0); the engine reads them via `grads_mut`.
-        for (acc, g) in self.ws1.grads_mut().iter_mut().zip(self.ws2.grads()) {
-            acc.axpy(1.0, g);
-        }
-        let embeddings_bad = cx
-            .guard
-            .embeddings_bad(&[self.ws1.output(), self.ws2.output()]);
-        EpochOutcome::Step {
-            loss: epoch_loss,
-            embeddings_bad,
-        }
-    }
-
-    fn grads_mut(&mut self) -> &mut [Matrix] {
-        self.ws1.grads_mut()
-    }
-
-    fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt.step(self.encoder.params_mut(), self.ws1.grads());
-    }
-
-    fn embed(&mut self) -> Matrix {
-        self.encoder.embed(&self.adj_orig, self.x)
-    }
-
-    fn snapshot(&mut self) -> Option<StepState> {
-        // Mutable cross-epoch state: encoder weights (Adam group), the
-        // projection head's four tensors (its SGD is stateless), and the
-        // training RNG. Head biases travel as 1×n matrices.
-        let row = |b: &[f32]| Matrix::from_vec(1, b.len(), b.to_vec());
-        let extra = vec![
-            self.head.l1.w.clone(),
-            row(&self.head.l1.b),
-            self.head.l2.w.clone(),
-            row(&self.head.l2.b),
-        ];
-        Some(StepState::pack_trainer(
-            self.encoder.params(),
-            &extra,
-            &self.opt,
-            &self.train_rng,
-        ))
-    }
-
-    fn restore(&mut self, state: &StepState) -> Result<(), TrainError> {
-        let s = state.unpack_trainer(self.encoder.params().len(), 4)?;
-        restore_params(self.encoder.params_mut(), &s.params)?;
-        restore_params(std::slice::from_mut(&mut self.head.l1.w), &s.extra[0..1])?;
-        restore_params(std::slice::from_mut(&mut self.head.l2.w), &s.extra[2..3])?;
-        for (b, saved) in [
-            (&mut self.head.l1.b, &s.extra[1]),
-            (&mut self.head.l2.b, &s.extra[3]),
-        ] {
-            if saved.rows() != 1 || saved.cols() != b.len() {
-                return Err(TrainError::Checkpoint(format!(
-                    "head bias shape mismatch: checkpoint {}x{}, model 1x{}",
-                    saved.rows(),
-                    saved.cols(),
-                    b.len()
-                )));
-            }
-            b.copy_from_slice(saved.as_slice());
-        }
-        self.opt.restore_state(s.adam_t, s.adam_m, s.adam_v);
-        self.train_rng = s.rng;
-        Ok(())
-    }
-}
-
-/// One mini-batch GRACE epoch: per seed batch, sample a subgraph view,
-/// corrupt it twice, forward both corrupted views through the shared
-/// workspaces, InfoNCE over the seed rows, and accumulate encoder
-/// gradients at `1/num_batches` so the applied update is the mean over
-/// batches. The projection head steps per batch before the guard verdict,
-/// mirroring full-graph GRACE.
-struct GraceMinibatchStep<'a> {
-    model: &'a GraceModel,
-    g: &'a CsrGraph,
-    x: &'a Matrix,
-    cfg: &'a TrainConfig,
-    batch_nodes: usize,
-    sampler: NeighborSampler,
-    adj_orig: SparseMatrix,
-    encoder: GcnEncoder,
-    head: Mlp,
-    opt: Adam,
-    train_rng: SeedRng,
-    loss_state: InfoNceStrategy,
-    grads: Vec<Matrix>,
-    ws1: GcnWorkspace,
-    ws2: GcnWorkspace,
-    head_ws1: MlpWorkspace,
-    head_ws2: MlpWorkspace,
-    nce: InfoNceScratch,
-    d_h1: Matrix,
-    d_h2: Matrix,
-    hb1: Matrix,
-    hb2: Matrix,
-}
-
-impl EpochStep for GraceMinibatchStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let cfg = self.cfg;
-        let conf = &self.model.config;
-        let n = self.g.num_nodes();
-        let batches = shuffled_batches(n, self.batch_nodes, &mut self.train_rng);
-        let num_batches = batches.len() as f32;
-        let mut acc: Option<Vec<Matrix>> = None;
-        let mut epoch_loss = 0.0;
-        let mut embeddings_bad = false;
-        let mut stepped = 0usize;
-        for seeds in batches {
-            if seeds.len() < 2 {
-                continue;
-            }
-            let view = self.sampler.sample(self.g, &seeds, &mut self.train_rng);
-            let xv = view.features(self.x);
-            let (g1, mut x1) = self.model.make_uniform_view(
-                &view.graph,
-                &xv,
-                conf.drop_edge.0,
-                conf.mask_feat.0,
-                &mut self.train_rng,
-            );
-            let (g2, x2) = self.model.make_uniform_view(
-                &view.graph,
-                &xv,
-                conf.drop_edge.1,
-                conf.mask_feat.1,
-                &mut self.train_rng,
-            );
-            cx.fault.corrupt_features(cx.epoch, &mut x1);
-            // Corruption invalidates the full-graph degrees the exactness
-            // rule relies on, so — exactly like full-graph GRACE — each
-            // corrupted view is normalised with its own degrees.
-            let a1 = norm::normalized_adjacency(&g1);
-            let a2 = norm::normalized_adjacency(&g2);
-            self.encoder.forward_with(&a1, &x1, &mut self.ws1);
-            self.encoder.forward_with(&a2, &x2, &mut self.ws2);
-            let locals: Vec<usize> = seeds
-                .iter()
-                .map(|&v| view.local(v).expect("seed is in its sampled view"))
-                .collect();
-            let batch_loss = match &mut self.loss_state {
-                InfoNceStrategy::Full => {
-                    self.ws1.output().select_rows_into(&locals, &mut self.hb1);
-                    self.ws2.output().select_rows_into(&locals, &mut self.hb2);
-                    self.head.forward_with(&self.hb1, &mut self.head_ws1);
-                    self.head.forward_with(&self.hb2, &mut self.head_ws2);
-                    let batch_loss = loss::info_nce_with(
-                        self.head_ws1.output(),
-                        self.head_ws2.output(),
-                        conf.tau,
-                        &mut self.nce,
-                    );
-                    self.head
-                        .backward_with(&self.hb1, self.nce.d_z1(), &mut self.head_ws1);
-                    self.head
-                        .backward_with(&self.hb2, self.nce.d_z2(), &mut self.head_ws2);
-                    self.d_h1.reset_zeroed(view.len(), cfg.embed_dim);
-                    self.d_h2.reset_zeroed(view.len(), cfg.embed_dim);
-                    for (i, &l) in locals.iter().enumerate() {
-                        self.d_h1.set_row(l, self.head_ws1.d_input().row(i));
-                        self.d_h2.set_row(l, self.head_ws2.d_input().row(i));
-                    }
-                    // The head steps inside the epoch, before the guard
-                    // verdict, exactly as in the full-graph step.
-                    self.head
-                        .step(self.head_ws1.grads(), cx.lr / num_batches, 0.0);
-                    self.head
-                        .step(self.head_ws2.grads(), cx.lr / num_batches, 0.0);
-                    self.encoder.backward_with(&a1, &mut self.ws1, &self.d_h1);
-                    self.encoder.backward_with(&a2, &mut self.ws2, &self.d_h2);
-                    batch_loss
-                }
-                InfoNceStrategy::SmallNeg { k, strat } => {
-                    // Negatives re-selected per batch from the seed rows'
-                    // view-1 embeddings (batch-local indices).
-                    self.ws1.output().select_rows_into(&locals, &mut self.hb1);
-                    self.ws2.output().select_rows_into(&locals, &mut self.hb2);
-                    let mut sel_rng = self.train_rng.fork("negatives");
-                    strat.set_negatives(&select_negatives(&self.hb1, *k, &mut sel_rng));
-                    self.head.forward_with(&self.hb1, &mut self.head_ws1);
-                    self.head.forward_with(&self.hb2, &mut self.head_ws2);
-                    let batch_loss = strat.compute(self.head_ws1.output(), self.head_ws2.output());
-                    self.head
-                        .backward_with(&self.hb1, strat.d_z1(), &mut self.head_ws1);
-                    self.head
-                        .backward_with(&self.hb2, strat.d_z2(), &mut self.head_ws2);
-                    self.d_h1.reset_zeroed(view.len(), cfg.embed_dim);
-                    self.d_h2.reset_zeroed(view.len(), cfg.embed_dim);
-                    for (i, &l) in locals.iter().enumerate() {
-                        self.d_h1.set_row(l, self.head_ws1.d_input().row(i));
-                        self.d_h2.set_row(l, self.head_ws2.d_input().row(i));
-                    }
-                    self.head
-                        .step(self.head_ws1.grads(), cx.lr / num_batches, 0.0);
-                    self.head
-                        .step(self.head_ws2.grads(), cx.lr / num_batches, 0.0);
-                    self.encoder.backward_with(&a1, &mut self.ws1, &self.d_h1);
-                    self.encoder.backward_with(&a2, &mut self.ws2, &self.d_h2);
-                    batch_loss
-                }
-                InfoNceStrategy::Localized { hops, strat } => {
-                    // Head-free: anchors are the seed rows, negatives their
-                    // L-hop neighbourhoods *within the sampled subgraph*.
-                    strat.set_topology(Neighborhoods::from_graph(&view.graph, *hops));
-                    strat.set_anchors(Some(locals.clone()));
-                    let batch_loss = strat.compute(self.ws1.output(), self.ws2.output());
-                    self.encoder.backward_with(&a1, &mut self.ws1, strat.d_z1());
-                    self.encoder.backward_with(&a2, &mut self.ws2, strat.d_z2());
-                    batch_loss
-                }
-            };
-            epoch_loss += batch_loss / num_batches;
-            let scale = 1.0 / num_batches;
-            GcnEncoder::accumulate(&mut acc, self.ws1.grads().to_vec(), scale);
-            GcnEncoder::accumulate(&mut acc, self.ws2.grads().to_vec(), scale);
-            embeddings_bad = embeddings_bad
-                || cx
-                    .guard
-                    .embeddings_bad(&[self.ws1.output(), self.ws2.output()]);
-            stepped += 1;
-        }
-        if stepped == 0 {
-            return EpochOutcome::SkipSilently;
-        }
-        self.grads = acc.unwrap_or_default();
-        EpochOutcome::Step {
-            loss: epoch_loss,
-            embeddings_bad,
-        }
-    }
-
-    fn grads_mut(&mut self) -> &mut [Matrix] {
-        &mut self.grads
-    }
-
-    fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt.step(self.encoder.params_mut(), &self.grads);
-    }
-
-    fn embed(&mut self) -> Matrix {
-        self.encoder.embed(&self.adj_orig, self.x)
-    }
-
-    fn snapshot(&mut self) -> Option<StepState> {
-        // Identical layout to the full-graph step: encoder weights (Adam
-        // group), the head's four tensors, and the training RNG.
-        let row = |b: &[f32]| Matrix::from_vec(1, b.len(), b.to_vec());
-        let extra = vec![
-            self.head.l1.w.clone(),
-            row(&self.head.l1.b),
-            self.head.l2.w.clone(),
-            row(&self.head.l2.b),
-        ];
-        Some(StepState::pack_trainer(
-            self.encoder.params(),
-            &extra,
-            &self.opt,
-            &self.train_rng,
-        ))
-    }
-
-    fn restore(&mut self, state: &StepState) -> Result<(), TrainError> {
-        let s = state.unpack_trainer(self.encoder.params().len(), 4)?;
-        restore_params(self.encoder.params_mut(), &s.params)?;
-        restore_params(std::slice::from_mut(&mut self.head.l1.w), &s.extra[0..1])?;
-        restore_params(std::slice::from_mut(&mut self.head.l2.w), &s.extra[2..3])?;
-        for (b, saved) in [
-            (&mut self.head.l1.b, &s.extra[1]),
-            (&mut self.head.l2.b, &s.extra[3]),
-        ] {
-            if saved.rows() != 1 || saved.cols() != b.len() {
-                return Err(TrainError::Checkpoint(format!(
-                    "head bias shape mismatch: checkpoint {}x{}, model 1x{}",
-                    saved.rows(),
-                    saved.cols(),
-                    b.len()
-                )));
-            }
-            b.copy_from_slice(saved.as_slice());
-        }
-        self.opt.restore_state(s.adam_t, s.adam_m, s.adam_v);
-        self.train_rng = s.rng;
-        Ok(())
+        )
+        .run(start, Duration::ZERO)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MinibatchConfig;
     use e2gcl_datasets::{spec, NodeDataset};
 
     fn tiny() -> (NodeDataset, TrainConfig) {

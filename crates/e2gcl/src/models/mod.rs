@@ -11,15 +11,17 @@ pub mod dgi;
 pub mod e2gcl_model;
 pub mod gae;
 pub mod grace;
+mod infonce;
 pub mod mvgrl;
 pub mod walks;
 
-use crate::config::{LossStrategy, TrainConfig};
+use crate::config::{MinibatchConfig, TrainConfig};
+use crate::engine::EngineRun;
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
-use e2gcl_nn::{FrozenEncoder, LocalizedInfoNce, Neighborhoods, SmallNegInfoNce};
+use e2gcl_nn::FrozenEncoder;
 use e2gcl_selector::greedy::GreedySelector;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Output of a pre-training run.
 #[derive(Clone, Debug)]
@@ -41,6 +43,25 @@ pub struct PretrainResult {
     pub checkpoints: Vec<(f64, Matrix)>,
     /// Mean contrastive loss per epoch (for convergence diagnostics).
     pub loss_curve: Vec<f32>,
+}
+
+impl PretrainResult {
+    /// Packages an engine run that started at `start`.
+    pub(crate) fn from_run(
+        run: EngineRun,
+        encoder: FrozenEncoder,
+        selection_time: Duration,
+        start: Instant,
+    ) -> Self {
+        PretrainResult {
+            embeddings: run.embeddings,
+            encoder: Some(encoder),
+            selection_time,
+            total_time: start.elapsed(),
+            checkpoints: run.checkpoints,
+            loss_curve: run.loss_curve,
+        }
+    }
 }
 
 /// A self-supervised graph representation learner.
@@ -75,6 +96,12 @@ pub(crate) fn ensure_full_graph_only(cfg: &TrainConfig, model: &str) -> Result<(
     Ok(())
 }
 
+/// The mini-batch block when it samples; `None` trains on the whole graph
+/// (no block, or the degenerate whole-graph one).
+pub(crate) fn sampled_minibatch(cfg: &TrainConfig, n: usize) -> Option<&MinibatchConfig> {
+    cfg.minibatch.as_ref().filter(|mb| !mb.is_full_batch(n))
+}
+
 /// Typed rejection for NaN or infinite input features, which would poison
 /// every distance the selector and the encoder compute.
 pub(crate) fn ensure_finite_features(x: &Matrix) -> Result<(), TrainError> {
@@ -99,55 +126,6 @@ pub(crate) fn ensure_full_loss_only(cfg: &TrainConfig, model: &str) -> Result<()
         )));
     }
     Ok(())
-}
-
-/// Per-step state of the configured [`LossStrategy`], shared by the
-/// GRACE/GCA and E²GCL epoch steps (DESIGN.md §15).
-///
-/// `Full` leaves the step's original InfoNCE path bitwise-untouched (the
-/// golden fingerprints pin it); the sub-quadratic variants carry their own
-/// fused forward+backward scratch so steady-state epochs stay
-/// allocation-free inside the kernel.
-pub(crate) enum InfoNceStrategy {
-    /// The original fused O(n²) kernel, driven by the step's own scratch.
-    Full,
-    /// Small-negative-set InfoNCE; negatives re-selected deterministically
-    /// each epoch (full-batch) or batch (mini-batch) via
-    /// [`select_negatives`].
-    SmallNeg {
-        /// Negative budget `k` from the config.
-        k: usize,
-        /// The fused kernel + scratch (boxed: the scratch is large and
-        /// `Full` carries none).
-        strat: Box<SmallNegInfoNce>,
-    },
-    /// Neighbourhood-localized InfoNCE; the topology is fixed per graph
-    /// (full-batch) or rebuilt per sampled subgraph (mini-batch).
-    Localized {
-        /// Neighbourhood radius from the config.
-        hops: usize,
-        /// The fused kernel + scratch (boxed, as above).
-        strat: Box<LocalizedInfoNce>,
-    },
-}
-
-impl InfoNceStrategy {
-    /// Builds the step-side state for `loss` at temperature `tau`.
-    /// Localized topology starts empty — full-batch steps set it once from
-    /// the training graph, mini-batch steps per sampled view.
-    pub(crate) fn from_config(loss: &LossStrategy, tau: f32) -> InfoNceStrategy {
-        match *loss {
-            LossStrategy::Full => InfoNceStrategy::Full,
-            LossStrategy::SmallNeg { negatives } => InfoNceStrategy::SmallNeg {
-                k: negatives,
-                strat: Box::new(SmallNegInfoNce::new(tau)),
-            },
-            LossStrategy::Localized { hops } => InfoNceStrategy::Localized {
-                hops,
-                strat: Box::new(LocalizedInfoNce::new(tau, Neighborhoods::default())),
-            },
-        }
-    }
 }
 
 /// Upper bound on the candidate pool [`select_negatives`] hands to the
@@ -217,11 +195,17 @@ pub(crate) fn sample_negative_indices(
     out
 }
 
-/// Splits shuffled node indices into anchor batches of at most `batch_size`.
-pub(crate) fn shuffled_batches(n: usize, batch_size: usize, rng: &mut SeedRng) -> Vec<Vec<usize>> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut idx);
-    idx.chunks(batch_size.max(2)).map(|c| c.to_vec()).collect()
+/// Shuffles `items` and splits them into batches of at most `batch_size`.
+pub(crate) fn shuffled_batches(
+    mut items: Vec<usize>,
+    batch_size: usize,
+    rng: &mut SeedRng,
+) -> Vec<Vec<usize>> {
+    rng.shuffle(&mut items);
+    items
+        .chunks(batch_size.max(2))
+        .map(|c| c.to_vec())
+        .collect()
 }
 
 #[cfg(test)]
@@ -276,7 +260,7 @@ mod tests {
     #[test]
     fn batches_cover_everything_once() {
         let mut rng = SeedRng::new(2);
-        let batches = shuffled_batches(103, 25, &mut rng);
+        let batches = shuffled_batches((0..103).collect(), 25, &mut rng);
         let mut all: Vec<usize> = batches.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..103).collect::<Vec<_>>());

@@ -78,9 +78,7 @@ impl ContrastiveLoss for FullInfoNce {
     }
 
     fn compute(&mut self, z1: &Matrix, z2: &Matrix) -> f32 {
-        // The strategy accepts whatever shape each call brings; shape
-        // stability is the caller's concern (see `info_nce_checked`).
-        self.s.reset();
+        // The scratch re-shapes to whatever shape each call brings.
         loss::info_nce_with(z1, z2, self.tau, &mut self.s)
     }
 
@@ -420,7 +418,6 @@ impl ContrastiveLoss for SmallNegInfoNce {
         // anchor has no negatives and contributes zero loss and gradient.)
         if n >= 2 && self.negatives.len() == n {
             self.used_full = true;
-            self.full.reset();
             return loss::info_nce_with(z1, z2, self.tau, &mut self.full);
         }
         self.used_full = false;

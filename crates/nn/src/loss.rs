@@ -10,7 +10,6 @@
 
 use e2gcl_linalg::{activations, ops, Matrix};
 use rayon::prelude::*;
-use std::fmt;
 
 /// Output of the Eq. (5) contrastive loss.
 #[derive(Debug)]
@@ -173,30 +172,6 @@ pub fn info_nce(z1: &Matrix, z2: &Matrix, tau: f32) -> InfoNceOutput {
     }
 }
 
-/// A scratch was reused at a different batch shape without an explicit
-/// [`InfoNceScratch::reset`]. Reading stale gradient buffers after a
-/// shape change used to be a silent wrong-shape panic path downstream;
-/// [`info_nce_checked`] surfaces it as this typed error instead.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScratchShapeError {
-    /// `(rows, cols)` the scratch was bound to by its last use.
-    pub bound: (usize, usize),
-    /// `(rows, cols)` the rejected call asked for.
-    pub requested: (usize, usize),
-}
-
-impl fmt::Display for ScratchShapeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "scratch bound to {}x{} reused at {}x{} without reset()",
-            self.bound.0, self.bound.1, self.requested.0, self.requested.1
-        )
-    }
-}
-
-impl std::error::Error for ScratchShapeError {}
-
 /// Reusable buffers for [`info_nce_with`]: normalised views, the four
 /// `n x n` similarity/gradient-coefficient blocks, per-anchor loss terms,
 /// and both gradient chains.
@@ -217,7 +192,6 @@ pub struct InfoNceScratch {
     gtmp: Matrix,
     d_z1: Matrix,
     d_z2: Matrix,
-    bound: Option<(usize, usize)>,
 }
 
 impl InfoNceScratch {
@@ -230,46 +204,6 @@ impl InfoNceScratch {
     pub fn d_z2(&self) -> &Matrix {
         &self.d_z2
     }
-
-    /// The `(rows, cols)` this scratch was last used at, or `None` for a
-    /// fresh / reset scratch.
-    pub fn bound_shape(&self) -> Option<(usize, usize)> {
-        self.bound
-    }
-
-    /// Clears the shape binding so the next [`info_nce_checked`] call may
-    /// use a new batch shape. Buffer capacity is kept — reset is free.
-    pub fn reset(&mut self) {
-        self.bound = None;
-    }
-
-    /// Typed guard for fixed-shape loops: `Err` when the scratch is bound
-    /// to a different shape than `(rows, cols)` and has not been
-    /// [`reset`](Self::reset).
-    pub fn ensure_shape(&self, rows: usize, cols: usize) -> Result<(), ScratchShapeError> {
-        match self.bound {
-            Some(b) if b != (rows, cols) => Err(ScratchShapeError {
-                bound: b,
-                requested: (rows, cols),
-            }),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// Shape-checked [`info_nce_with`]: refuses to silently rebind a scratch
-/// that was last used at a different batch shape. Call sites whose batch
-/// size legitimately varies (e.g. a shorter final batch) either call
-/// [`InfoNceScratch::reset`] first or use the unchecked entry point, which
-/// rebinds by design.
-pub fn info_nce_checked(
-    z1: &Matrix,
-    z2: &Matrix,
-    tau: f32,
-    s: &mut InfoNceScratch,
-) -> Result<f32, ScratchShapeError> {
-    s.ensure_shape(z1.rows(), z1.cols())?;
-    Ok(info_nce_with(z1, z2, tau, s))
 }
 
 /// One NT-Xent direction, parallel over anchor rows: anchors at view `a`
@@ -356,7 +290,6 @@ pub fn info_nce_with(z1: &Matrix, z2: &Matrix, tau: f32, s: &mut InfoNceScratch)
     assert_eq!(z2.rows(), n);
     assert_eq!(z1.cols(), z2.cols());
     assert!(n >= 2, "InfoNCE needs at least 2 anchors");
-    s.bound = Some((n, z1.cols()));
     // Normalise rows, remembering norms for the Jacobian.
     normalize_rows_into(z1, &mut s.u1, &mut s.n1);
     normalize_rows_into(z2, &mut s.u2, &mut s.n2);
@@ -694,36 +627,20 @@ mod tests {
     }
 
     #[test]
-    fn scratch_shape_reuse_is_a_typed_error_until_reset() {
+    fn warm_scratch_at_a_new_shape_matches_a_cold_one() {
+        // The ragged last mini-batch reuses a scratch warmed at a larger
+        // batch; every buffer must be re-shaped, never read stale.
         let mut s = InfoNceScratch::default();
-        assert_eq!(s.bound_shape(), None);
-        let z1 = rand_matrix(5, 4, 30);
-        let z2 = rand_matrix(5, 4, 31);
-        let l = info_nce_checked(&z1, &z2, 0.5, &mut s).expect("fresh scratch accepts any shape");
-        assert!(l.is_finite());
-        assert_eq!(s.bound_shape(), Some((5, 4)));
-        // Same shape: fine.
-        info_nce_checked(&z1, &z2, 0.5, &mut s).expect("same shape accepted");
-        // Different shape: typed refusal instead of a downstream wrong-shape
-        // read of d_z1/d_z2.
-        let w1 = rand_matrix(3, 4, 32);
-        let w2 = rand_matrix(3, 4, 33);
-        let err = info_nce_checked(&w1, &w2, 0.5, &mut s).expect_err("shape change rejected");
-        assert_eq!(
-            err,
-            ScratchShapeError {
-                bound: (5, 4),
-                requested: (3, 4)
-            }
-        );
-        assert!(err.to_string().contains("without reset()"));
-        // An explicit reset re-opens the scratch, and the result matches a
-        // cold scratch bitwise.
-        s.reset();
-        let l_warm = info_nce_checked(&w1, &w2, 0.5, &mut s).expect("reset re-opens the scratch");
-        let cold = info_nce(&w1, &w2, 0.5);
-        assert_eq!(l_warm, cold.loss);
-        assert_eq!(s.d_z1(), &cold.d_z1);
+        let (z1, z2) = (rand_matrix(5, 4, 30), rand_matrix(5, 4, 31));
+        info_nce_with(&z1, &z2, 0.5, &mut s);
+        for (rows, seed) in [(3, 32), (7, 34)] {
+            let (w1, w2) = (rand_matrix(rows, 4, seed), rand_matrix(rows, 4, seed + 1));
+            let warm = info_nce_with(&w1, &w2, 0.5, &mut s);
+            let cold = info_nce(&w1, &w2, 0.5);
+            assert_eq!(warm.to_bits(), cold.loss.to_bits());
+            assert_eq!(s.d_z1(), &cold.d_z1);
+            assert_eq!(s.d_z2(), &cold.d_z2);
+        }
     }
 
     #[test]

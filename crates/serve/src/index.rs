@@ -554,6 +554,10 @@ impl IvfIndex {
         }
         let node_ids = cur.take_u32s(store_rows)?;
         cur.finish()?;
+        if dim == 0 {
+            // `build` rejects a zero-width store, so no writer emits this.
+            return Err(ArtifactError::Corrupt("index dimension is zero".into()));
+        }
         for w in 0..nlist {
             let lo = list_offsets[w] as usize;
             let hi = list_offsets[w + 1] as usize;
@@ -863,6 +867,18 @@ mod tests {
             index.search(&store, &q, 10).unwrap(),
             store.top_k(&q, 10).unwrap()
         );
+    }
+
+    #[test]
+    fn zero_dimension_is_corrupt() {
+        // A re-sealed file claiming dim = 0 (with a matching nlist x 0
+        // centroid block) used to load as an index no query can match.
+        let store = clustered_store(64, 4, 4, 5);
+        let mut idx = small_index(&store);
+        idx.dim = 0;
+        idx.centroids = Matrix::zeros(idx.centroids.rows(), 0);
+        let err = IvfIndex::from_bytes(&idx.to_bytes()).unwrap_err();
+        assert!(matches!(err, ArtifactError::Corrupt(_)), "{err}");
     }
 
     #[test]

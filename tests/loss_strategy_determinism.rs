@@ -58,8 +58,10 @@ fn cfg_with(loss: LossStrategy, minibatch: Option<MinibatchConfig>) -> TrainConf
 }
 
 /// `(case name, model, config)`: every sub-quadratic strategy through both
-/// supporting models, full-batch and mini-batch.
+/// supporting models, full-batch and mini-batch, plus the full-loss
+/// mini-batch paths `golden_determinism.rs` does not cover.
 fn cases() -> Vec<(&'static str, Box<dyn ContrastiveModel>, TrainConfig)> {
+    let full = LossStrategy::Full;
     let smallneg = LossStrategy::SmallNeg { negatives: 48 };
     let localized = LossStrategy::Localized { hops: 2 };
     let mb = Some(MinibatchConfig {
@@ -83,9 +85,29 @@ fn cases() -> Vec<(&'static str, Box<dyn ContrastiveModel>, TrainConfig)> {
             cfg_with(smallneg.clone(), mb.clone()),
         ),
         (
+            "grace-full-minibatch",
+            Box::new(GraceModel::grace()),
+            cfg_with(full.clone(), mb.clone()),
+        ),
+        (
+            "grace-localized-minibatch",
+            Box::new(GraceModel::grace()),
+            cfg_with(localized.clone(), mb.clone()),
+        ),
+        (
             "e2gcl-smallneg",
             Box::new(E2gclModel::default()),
-            cfg_with(smallneg, None),
+            cfg_with(smallneg.clone(), None),
+        ),
+        (
+            "e2gcl-full-minibatch",
+            Box::new(E2gclModel::default()),
+            cfg_with(full, mb.clone()),
+        ),
+        (
+            "e2gcl-smallneg-minibatch",
+            Box::new(E2gclModel::default()),
+            cfg_with(smallneg, mb.clone()),
         ),
         (
             "e2gcl-localized",
@@ -100,14 +122,25 @@ fn cases() -> Vec<(&'static str, Box<dyn ContrastiveModel>, TrainConfig)> {
     ]
 }
 
-/// Fingerprints recorded at introduction (PR 9). Any unintentional change
-/// is a determinism regression in the sub-quadratic kernels or in the
-/// per-epoch negative re-selection, not an update.
+/// Fingerprints recorded when the sub-quadratic kernels were introduced;
+/// the `grace-full-minibatch`, `grace-localized-minibatch`,
+/// `e2gcl-full-minibatch` and `e2gcl-smallneg-minibatch` entries were
+/// recorded from the per-path mini-batch steps before the shared InfoNCE
+/// step replaced them. `grace-localized-minibatch` was re-recorded once
+/// afterwards: the shared step hands the localized kernel its anchors in
+/// ascending order (DESIGN.md §15), as both E²GCL localized paths already
+/// did; the old GRACE step passed them in seed order. Any unintentional
+/// change is a determinism regression in the kernels, the sampled step or
+/// the per-epoch negative re-selection, not an update.
 const GOLDEN_SCALAR: &[(&str, u64)] = &[
     ("grace-smallneg", 0x9dbd6fd2f7d24e57),
     ("grace-localized", 0x3d99ce4487401304),
     ("grace-smallneg-minibatch", 0xdcea1a90ef2a94d3),
+    ("grace-full-minibatch", 0xdb487a602ced8a50),
+    ("grace-localized-minibatch", 0xfb357f13ddcbb9d7),
     ("e2gcl-smallneg", 0xacf5adcd97d35859),
+    ("e2gcl-full-minibatch", 0x4241e7673630504e),
+    ("e2gcl-smallneg-minibatch", 0xd5dab0bc2f406d87),
     ("e2gcl-localized", 0x131fe52ed8ce4ac1),
     ("e2gcl-localized-minibatch", 0xe83a5206e54724aa),
 ];
@@ -119,7 +152,11 @@ const GOLDEN_AVX2: &[(&str, u64)] = &[
     ("grace-smallneg", 0x84b61dc9cd033152),
     ("grace-localized", 0x54a31d04c1953dbf),
     ("grace-smallneg-minibatch", 0x45a103478d5756e3),
+    ("grace-full-minibatch", 0xb5aa40d93a367287),
+    ("grace-localized-minibatch", 0xaeb1a2482d2fa650),
     ("e2gcl-smallneg", 0x6d1dc5edda3e905a),
+    ("e2gcl-full-minibatch", 0x678cffefed60e67b),
+    ("e2gcl-smallneg-minibatch", 0x91c202d0c18abe99),
     ("e2gcl-localized", 0xacd48a79a7098d72),
     ("e2gcl-localized-minibatch", 0x7512bd514d38f672),
 ];
