@@ -25,7 +25,7 @@
 
 use e2gcl::models::grace::GraceModel;
 use e2gcl::prelude::*;
-use e2gcl_bench::flags::FlagSet;
+use e2gcl_bench::flags::{exit_usage, FlagSet};
 use e2gcl_bench::report;
 use serde::Serialize;
 use std::time::Instant;
@@ -180,9 +180,7 @@ struct BaselineCase {
 }
 
 fn check_committed_baseline(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let dump: BaselineDump =
-        serde_json::from_str(&text).map_err(|e| format!("{path} does not parse: {e}"))?;
+    let dump: BaselineDump = report::read_committed(path)?;
     if dump.cases.is_empty() {
         return Err(format!("{path}: empty cases array"));
     }
@@ -232,13 +230,7 @@ fn print_case(c: &ScaleCase) {
 }
 
 fn main() {
-    let flags = match FlagSet::new().switch("quick").parse_env() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("scale_bench: {e}");
-            std::process::exit(2);
-        }
-    };
+    let flags = FlagSet::new().switch("quick").parse_env();
     let quick = flags.is_set("quick");
     let mode = if quick { "quick" } else { "full" };
     println!("scale_bench — mode: {mode} (batch_nodes {BATCH_NODES}, fanout {FANOUT})");
@@ -251,13 +243,7 @@ fn main() {
         vec![(0.01, 2), (0.1, 2), (1.0, 1)]
     };
 
-    let data_spec = match spec("products-sim-1m") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scale_bench: {e}");
-            std::process::exit(2);
-        }
-    };
+    let data_spec = spec("products-sim-1m").unwrap_or_else(|e| exit_usage(e));
 
     let mut cases: Vec<ScaleCase> = Vec::new();
     let mut failed = false;
@@ -335,12 +321,9 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        match serde_json::to_string_pretty(&dump) {
-            Ok(json) => match std::fs::write("BENCH_scale.json", json) {
-                Ok(()) => println!("[results written to BENCH_scale.json]"),
-                Err(e) => eprintln!("writing BENCH_scale.json: {e}"),
-            },
-            Err(e) => eprintln!("serialising BENCH_scale.json: {e}"),
+        if let Err(e) = report::write_record("BENCH_scale.json", &dump) {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
     }
 }

@@ -25,7 +25,7 @@
 //! IVF p99 < 10 ms, ≥ 10k QPS sustained).
 
 use e2gcl::prelude::*;
-use e2gcl_bench::flags::{FlagSet, Flags};
+use e2gcl_bench::flags::{exit_usage, FlagSet, Flags};
 use e2gcl_bench::report;
 use e2gcl_linalg::Matrix;
 use e2gcl_serve::{
@@ -267,9 +267,7 @@ struct BaselineSustained {
 }
 
 fn check_committed_baseline(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let b: Baseline =
-        serde_json::from_str(&text).map_err(|e| format!("{path} does not parse: {e}"))?;
+    let b: Baseline = report::read_committed(path)?;
     if b.overload.offered < b.overload.admitted.saturating_sub(b.overload.shed_overload) {
         return Err(format!(
             "{path}: overload section counters are inconsistent"
@@ -303,7 +301,7 @@ fn check_committed_baseline(path: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let flags = match FlagSet::new()
+    let flags = FlagSet::new()
         .switch("quick")
         .valued("rows")
         .valued("dim")
@@ -314,29 +312,15 @@ fn main() {
         .valued("kmeans-iters")
         .valued("ann-queries")
         .valued("requests")
-        .parse_env()
-    {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("serve_latency: {e}");
-            std::process::exit(2);
-        }
-    };
+        .parse_env();
     let quick = flags.is_set("quick");
     let mode = if quick { "quick" } else { "full" };
-    let sizing = match if quick {
+    let sizing = if quick {
         Sizing::quick()
     } else {
         Sizing::full()
-    }
-    .with_flags(&flags)
-    {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve_latency: {e}");
-            std::process::exit(2);
-        }
     };
+    let sizing = sizing.with_flags(&flags).unwrap_or_else(|e| exit_usage(e));
 
     // ---- trained tier: batches + overload (PR 6 sections) ----
     let data = NodeDataset::generate(&spec(DATASET).expect("dataset spec"), SCALE, SEED);
@@ -546,13 +530,8 @@ fn main() {
             std::process::exit(1);
         }
         println!("quick-mode checks passed (both tiers ran; BENCH_serve.json ok)");
-    } else {
-        match serde_json::to_string_pretty(&dump) {
-            Ok(json) => match std::fs::write("BENCH_serve.json", json) {
-                Ok(()) => println!("[results written to BENCH_serve.json]"),
-                Err(e) => eprintln!("writing BENCH_serve.json: {e}"),
-            },
-            Err(e) => eprintln!("serialising BENCH_serve.json: {e}"),
-        }
+    } else if let Err(e) = report::write_record("BENCH_serve.json", &dump) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }

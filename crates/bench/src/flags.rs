@@ -8,6 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::path::Path;
 use std::str::FromStr;
 
 /// Why an argument vector was rejected.
@@ -150,11 +151,23 @@ impl FlagSet {
         Ok(Flags { set, values })
     }
 
-    /// Parses the process arguments (skipping the program name).
-    pub fn parse_env(&self) -> Result<Flags, FlagError> {
+    /// Parses the process arguments (skipping the program name). A rejected
+    /// argument vector is a usage error: see [`exit_usage`].
+    pub fn parse_env(&self) -> Flags {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        self.parse(&argv)
+        self.parse(&argv).unwrap_or_else(|e| exit_usage(e))
     }
+}
+
+/// Prints `<bin>: <msg>` on stderr, where `<bin>` is the running
+/// executable's file name, and exits with the usage-error status 2.
+pub fn exit_usage(msg: impl fmt::Display) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    let bin = Path::new(&bin)
+        .file_name()
+        .map_or(bin.clone(), |n| n.to_string_lossy().into_owned());
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2)
 }
 
 /// The parsed result: which switches appeared and the valued flags' values.

@@ -14,6 +14,8 @@ pub mod registry;
 pub mod report;
 
 use e2gcl::prelude::*;
+use flags::{FlagError, FlagSet};
+use std::str::FromStr;
 
 /// Sizing of a reproduction run.
 #[derive(Clone, Debug)]
@@ -53,44 +55,27 @@ impl Profile {
         }
     }
 
-    /// Parses `--profile quick|paper` (default quick) from process args.
+    /// Parses `--profile quick|paper` (default quick) plus the `--scale`,
+    /// `--runs` and `--epochs` overrides from the process arguments. An
+    /// unknown flag or a malformed value is a usage error (exit 2).
     pub fn from_args() -> Profile {
-        let args: Vec<String> = std::env::args().collect();
-        let mut profile = Profile::quick();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--profile" if i + 1 < args.len() => {
-                    profile = match args[i + 1].as_str() {
-                        "paper" => Profile::paper(),
-                        "quick" => Profile::quick(),
-                        other => {
-                            eprintln!("unknown profile '{other}', using quick");
-                            Profile::quick()
-                        }
-                    };
-                    i += 2;
-                }
-                "--scale" if i + 1 < args.len() => {
-                    profile.scale = args[i + 1].parse().expect("--scale takes a float");
-                    i += 2;
-                }
-                "--runs" if i + 1 < args.len() => {
-                    profile.runs = args[i + 1].parse().expect("--runs takes an int");
-                    i += 2;
-                }
-                "--epochs" if i + 1 < args.len() => {
-                    profile.epochs = args[i + 1].parse().expect("--epochs takes an int");
-                    i += 2;
-                }
-                "--bench" => i += 1, // passed by `cargo bench` harness invocations
-                other => {
-                    eprintln!("ignoring unknown argument '{other}'");
-                    i += 1;
-                }
-            }
-        }
-        profile
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Profile::parse(&argv).unwrap_or_else(|e| flags::exit_usage(e))
+    }
+
+    /// [`Profile::from_args`] over an explicit argument vector.
+    pub fn parse(argv: &[String]) -> Result<Profile, FlagError> {
+        let flags = FlagSet::new()
+            .valued("profile")
+            .valued("scale")
+            .valued("runs")
+            .valued("epochs")
+            .parse(argv)?;
+        let mut profile = flags.get_parse("profile", Profile::quick())?;
+        profile.scale = flags.get_parse("scale", profile.scale)?;
+        profile.runs = flags.get_parse("runs", profile.runs)?;
+        profile.epochs = flags.get_parse("epochs", profile.epochs)?;
+        Ok(profile)
     }
 
     /// The shared training configuration for this profile.
@@ -121,6 +106,20 @@ impl Profile {
     pub fn large_dataset(&self, name: &str, seed: u64) -> NodeDataset {
         let s = spec(name).expect("bench binaries use registered dataset names");
         NodeDataset::generate(&s, self.large_scale, seed)
+    }
+}
+
+impl FromStr for Profile {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Profile, String> {
+        match name {
+            "quick" => Ok(Profile::quick()),
+            "paper" => Ok(Profile::paper()),
+            other => Err(format!(
+                "unknown profile '{other}' (accepted: quick, paper)"
+            )),
+        }
     }
 }
 
@@ -199,6 +198,35 @@ mod tests {
         let p = Profile::paper();
         assert!(p.walk_config().epochs < p.train_config().epochs);
         assert!(Profile::quick().walk_config().epochs >= 2);
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn profile_flags_parse_and_typos_are_errors() {
+        let p = Profile::parse(&argv(&["--profile", "paper", "--runs=3", "--scale", "0.5"]))
+            .expect("valid argv");
+        assert_eq!((p.name.as_str(), p.runs, p.epochs), ("paper", 3, 60));
+        assert_eq!(p.scale, 0.5);
+        assert_eq!(Profile::parse(&[]).expect("defaults").name, "quick");
+        // FlagSet tolerates the `--bench` flag of cargo's bench harness.
+        assert!(Profile::parse(&argv(&["--bench"])).is_ok());
+        match Profile::parse(&argv(&["--qick"])) {
+            Err(FlagError::Unknown { flag, .. }) => assert_eq!(flag, "--qick"),
+            other => panic!("expected Unknown, got {other:?}"),
+        }
+        match Profile::parse(&argv(&["--profile", "bogus"])) {
+            Err(FlagError::BadValue { flag, value, .. }) => {
+                assert_eq!((flag.as_str(), value.as_str()), ("--profile", "bogus"));
+            }
+            other => panic!("expected BadValue, got {other:?}"),
+        }
+        assert!(matches!(
+            Profile::parse(&argv(&["--epochs", "many"])),
+            Err(FlagError::BadValue { .. })
+        ));
     }
 
     #[test]

@@ -111,18 +111,6 @@ pub fn table9() -> Vec<(&'static str, [f32; 3], [f32; 3])> {
     ]
 }
 
-/// Fig. 2's claim, as data: each upgraded model strictly improves on its
-/// original on both Cora and Computers (the paper plots curves; the
-/// invariant is "blue line above red line").
-pub fn fig2_pairs() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("ADGCL", "ADGCL+FP+EA"),
-        ("MVGRL", "MVGRL+FP"),
-        ("GRACE", "GRACE+FP+EA"),
-        ("GCA", "GCA+FP+EA"),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,9 @@
 //! runs diverge.
 
 use e2gcl::pipeline::{GraphClassificationRun, NodeClassificationRun};
+use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::io::Write;
+use std::path::Path;
 
 /// One measured cell next to its paper reference.
 #[derive(Clone, Debug, Serialize)]
@@ -198,21 +199,36 @@ pub fn print_series(title: &str, x_label: &str, series_names: &[&str], points: &
 }
 
 /// Writes any serialisable result to `target/bench-results/<name>.json` so
-/// downstream tooling can re-plot without re-running.
+/// downstream tooling can re-plot without re-running. A failed write is
+/// reported on stderr; the run's printed output is the primary record.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("target/bench-results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
+    let path = Path::new("target/bench-results").join(format!("{name}.json"));
+    if let Err(e) = write_record(path, value) {
+        eprintln!("{e}");
     }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(
-            serde_json::to_string_pretty(value)
-                .unwrap_or_default()
-                .as_bytes(),
-        );
-        println!("[results written to {}]", path.display());
+}
+
+/// Writes `value` as pretty JSON to `path`, creating its parent directory.
+/// The single writer behind [`write_json`] and the committed `BENCH_*.json`
+/// records, whose bins exit non-zero on the returned error.
+pub fn write_record<T: Serialize>(path: impl AsRef<Path>, value: &T) -> Result<(), String> {
+    let path = path.as_ref();
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("serialising {}: {e}", path.display()))?;
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
+    std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    println!("[results written to {}]", path.display());
+    Ok(())
+}
+
+/// Reads and parses a committed `BENCH_*.json` record into the schema `T`
+/// that a quick-mode gate inspects (fields `T` does not name are ignored).
+/// Errors read `"<path>: <io error>"` or `"<path> does not parse: <why>"`.
+pub fn read_committed<T: DeserializeOwned>(path: &str) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("{path} does not parse: {e}"))
 }
 
 #[cfg(test)]
@@ -254,16 +270,64 @@ mod tests {
         }
     }
 
+    /// A fresh directory under the system temp dir for one test.
+    fn temp_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("e2gcl-report-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn write_json_roundtrip() {
         #[derive(Serialize)]
         struct T {
             a: u32,
         }
-        write_json("unit-test", &T { a: 3 });
-        let s = std::fs::read_to_string("target/bench-results/unit-test.json");
-        if let Ok(s) = s {
-            assert!(s.contains("\"a\": 3"));
-        }
+        let dir = temp_dir("roundtrip");
+        let path = dir.join("nested").join("unit-test.json");
+        write_record(&path, &T { a: 3 }).expect("the record is written");
+        let s = std::fs::read_to_string(&path).expect("the record exists");
+        assert!(s.contains("\"a\": 3"), "{s}");
+        // Under a file, the parent directory cannot be created.
+        let err = write_record(path.join("x.json"), &T { a: 4 }).expect_err("parent is a file");
+        assert!(
+            err.starts_with(&format!("creating {}: ", path.display())),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[derive(serde::Deserialize)]
+    struct Committed {
+        cases: Vec<u32>,
+    }
+
+    #[test]
+    fn read_committed_reports_missing_and_unparsable_files() {
+        let dir = temp_dir("committed");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let missing = dir.join("BENCH_missing.json");
+        let missing = missing.to_str().expect("utf-8 temp path");
+        let err = read_committed::<Committed>(missing)
+            .err()
+            .expect("missing file");
+        assert!(err.starts_with(&format!("{missing}: ")), "{err}");
+
+        let garbled = dir.join("BENCH_garbled.json");
+        std::fs::write(&garbled, "{ not json").expect("write");
+        let garbled = garbled.to_str().expect("utf-8 temp path");
+        let err = read_committed::<Committed>(garbled)
+            .err()
+            .expect("unparsable file");
+        assert!(
+            err.starts_with(&format!("{garbled} does not parse: ")),
+            "{err}"
+        );
+
+        let good = dir.join("BENCH_good.json");
+        std::fs::write(&good, r#"{"cases": [1, 2], "extra": true}"#).expect("write");
+        let parsed = read_committed::<Committed>(good.to_str().expect("utf-8")).expect("parses");
+        assert_eq!(parsed.cases, vec![1, 2]);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -625,7 +625,8 @@ pub fn build_index(argv: &[String]) -> i32 {
     })())
 }
 
-/// Shape of `BENCH_serve.json` (shared with the bench bin by convention).
+/// Shape of the `serve-bench` report. It shares its section names with the
+/// committed `BENCH_serve.json`, which only `serve_latency` writes.
 #[derive(Serialize)]
 struct ServeBenchDump {
     name: String,
@@ -649,7 +650,7 @@ pub fn serve_bench(argv: &[String]) -> i32 {
         let path = args.get("artifact", "");
         let rounds: usize = args.get_parse("rounds", 50)?;
         let k: usize = args.get_parse("k", 10)?;
-        let json_path = args.get("json", "BENCH_serve.json");
+        let json_path = args.get("json", "target/bench-results/serve_bench.json");
         let burst: usize = args.get_parse("burst", 64)?;
         let overload_rounds: usize = args.get_parse("overload-rounds", 30)?;
         let queue_cap: usize = args.get_parse("queue-cap", 32)?;
@@ -798,6 +799,9 @@ pub fn serve_bench(argv: &[String]) -> i32 {
             overload,
             loadgen,
         };
+        if let Some(dir) = Path::new(&json_path).parent() {
+            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+        }
         std::fs::write(
             &json_path,
             serde_json::to_string_pretty(&dump).map_err(|e| e.to_string())?,

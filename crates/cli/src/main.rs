@@ -153,7 +153,8 @@ SERVE-BENCH:
     --artifact <path>    artifact to serve (omit to train a fresh model first)
     --rounds <n>         batches per batch size (default 50)
     --k <n>              top-k per query (default 10)
-    --json <path>        machine-readable report (default BENCH_serve.json)
+    --json <path>        machine-readable report
+                         (default target/bench-results/serve_bench.json)
     --index <kind>       none | ivf — attach an ANN index to the server
                          (default none; accepts the QUERY ivf flags)
     --target-qps <f64>   closed-loop load-generator section at this offered

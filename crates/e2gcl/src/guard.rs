@@ -259,22 +259,6 @@ impl FaultPlan {
         }
     }
 
-    /// Plan that injects infinities into the gradients at the given epochs.
-    pub fn inf_gradients(epochs: &[usize]) -> Self {
-        Self {
-            inf_gradients_at: epochs.to_vec(),
-            ..Self::default()
-        }
-    }
-
-    /// Plan that NaNs the features at the given epochs.
-    pub fn nan_features(epochs: &[usize]) -> Self {
-        Self {
-            nan_features_at: epochs.to_vec(),
-            ..Self::default()
-        }
-    }
-
     /// Scopes the plan to the run with the given original seed.
     pub fn only_for_seed(mut self, seed: u64) -> Self {
         self.only_seed = Some(seed);
@@ -459,12 +443,18 @@ mod tests {
         assert!(plan.corrupt_loss(0, 1.0).is_nan());
         assert_eq!(plan.corrupt_loss(1, 1.0), 1.0);
 
-        let plan = FaultPlan::inf_gradients(&[1]);
+        let plan = FaultPlan {
+            inf_gradients_at: vec![1],
+            ..FaultPlan::default()
+        };
         let mut grads = vec![Matrix::filled(1, 1, 0.0)];
         plan.corrupt_gradients(1, &mut grads);
         assert_eq!(grads[0].get(0, 0), f32::INFINITY);
 
-        let plan = FaultPlan::nan_features(&[3]);
+        let plan = FaultPlan {
+            nan_features_at: vec![3],
+            ..FaultPlan::default()
+        };
         let mut x = Matrix::filled(2, 2, 0.5);
         plan.corrupt_features(2, &mut x);
         assert!(!x.has_non_finite());

@@ -119,14 +119,12 @@ impl ContrastiveModel for BgrlModel {
             dp2: Matrix::default(),
         };
         let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: None,
-            selection_time: std::time::Duration::ZERO,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
+        Ok(PretrainResult::from_run(
+            run,
+            None,
+            std::time::Duration::ZERO,
+            start,
+        ))
     }
 }
 
@@ -287,14 +285,12 @@ impl ContrastiveModel for AfgrlModel {
             dp: Matrix::default(),
         };
         let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: None,
-            selection_time: std::time::Duration::ZERO,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
+        Ok(PretrainResult::from_run(
+            run,
+            None,
+            std::time::Duration::ZERO,
+            start,
+        ))
     }
 }
 

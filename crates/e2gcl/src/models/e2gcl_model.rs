@@ -353,7 +353,7 @@ impl ContrastiveModel for E2gclModel {
                 let encoder = step.encoder.into_frozen();
                 return Ok(PretrainResult::from_run(
                     run,
-                    encoder,
+                    Some(encoder),
                     selection_time,
                     start,
                 ));

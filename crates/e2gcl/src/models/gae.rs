@@ -83,14 +83,12 @@ impl ContrastiveModel for GaeModel {
             ws: GcnWorkspace::new(),
         };
         let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: None,
-            selection_time: std::time::Duration::ZERO,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
+        Ok(PretrainResult::from_run(
+            run,
+            None,
+            std::time::Duration::ZERO,
+            start,
+        ))
     }
 }
 
@@ -187,14 +185,12 @@ impl ContrastiveModel for VgaeModel {
             d_out: Matrix::default(),
         };
         let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult {
-            embeddings: run.embeddings,
-            encoder: None,
-            selection_time: std::time::Duration::ZERO,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        })
+        Ok(PretrainResult::from_run(
+            run,
+            None,
+            std::time::Duration::ZERO,
+            start,
+        ))
     }
 }
 

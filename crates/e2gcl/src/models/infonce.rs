@@ -418,7 +418,7 @@ where
         let run = EpochDriver::new(self.cfg).run(&mut self, start)?;
         Ok(PretrainResult::from_run(
             run,
-            self.twin.enc.into_frozen(),
+            Some(self.twin.enc.into_frozen()),
             selection_time,
             start,
         ))

@@ -46,16 +46,17 @@ pub struct PretrainResult {
 }
 
 impl PretrainResult {
-    /// Packages an engine run that started at `start`.
+    /// Packages an engine run that started at `start`. `encoder` is `None`
+    /// for models whose encoder is not a servable GCN.
     pub(crate) fn from_run(
         run: EngineRun,
-        encoder: FrozenEncoder,
+        encoder: Option<FrozenEncoder>,
         selection_time: Duration,
         start: Instant,
     ) -> Self {
         PretrainResult {
             embeddings: run.embeddings,
-            encoder: Some(encoder),
+            encoder,
             selection_time,
             total_time: start.elapsed(),
             checkpoints: run.checkpoints,

@@ -63,16 +63,6 @@ pub fn clustering_coefficients(g: &CsrGraph) -> Vec<f64> {
         .collect()
 }
 
-/// Mean local clustering coefficient.
-pub fn average_clustering(g: &CsrGraph) -> f64 {
-    let cc = clustering_coefficients(g);
-    if cc.is_empty() {
-        0.0
-    } else {
-        cc.iter().sum::<f64>() / cc.len() as f64
-    }
-}
-
 /// Core number of every node (the largest `k` such that the node survives
 /// in the `k`-core), via the standard peeling algorithm.
 pub fn core_numbers(g: &CsrGraph) -> Vec<usize> {

@@ -24,11 +24,6 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Sigmoid applied element-wise in place.
-pub fn sigmoid_inplace(m: &mut Matrix) {
-    m.map_inplace(sigmoid);
-}
-
 /// Multiplies `dst` element-wise by the ReLU gradient mask of the
 /// pre-activation `z` without materialising the mask matrix. Bit-identical
 /// to `dst.mul_assign_elem(&relu_grad_mask(z))`.

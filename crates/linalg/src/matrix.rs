@@ -937,17 +937,6 @@ impl Matrix {
         data.extend_from_slice(&other.data);
         Matrix::from_vec(self.rows + other.rows, self.cols, data)
     }
-
-    /// Concatenates two matrices horizontally (same row count).
-    pub fn hstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hstack row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1025,8 +1014,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(1, 3);
         assert_eq!(a.vstack(&b).shape(), (3, 3));
-        let c = Matrix::zeros(2, 2);
-        assert_eq!(a.hstack(&c).shape(), (2, 5));
     }
 
     #[test]

@@ -807,11 +807,6 @@ impl LocalizedInfoNce {
     pub fn set_anchors(&mut self, anchors: Option<Vec<usize>>) {
         self.anchors = anchors;
     }
-
-    /// The current topology.
-    pub fn neighborhoods(&self) -> &Neighborhoods {
-        &self.nb
-    }
 }
 
 impl ContrastiveLoss for LocalizedInfoNce {

@@ -352,11 +352,6 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// True when the packed-scan acceleration is built.
-    pub fn is_packed(&self) -> bool {
-        self.packed.is_some()
-    }
-
     /// The `nprobe` list ids closest to `query` (by dot product with the
     /// normalised centroids, which for any non-degenerate query orders
     /// exactly like cosine). Ties break toward the lower list id.
@@ -755,9 +750,9 @@ mod tests {
     fn packed_scan_matches_unpacked_gather_exactly() {
         let store = clustered_store(800, 12, 8, 11);
         let packed = small_index(&store);
-        assert!(packed.is_packed(), "build() must pack");
+        assert!(packed.packed.is_some(), "build() must pack");
         let unpacked = IvfIndex::from_bytes(&packed.to_bytes()).unwrap();
-        assert!(!unpacked.is_packed(), "from_bytes() must not pack");
+        assert!(unpacked.packed.is_none(), "from_bytes() must not pack");
         for q in 0..40 {
             let query = store.embedding(q * 20).unwrap().to_vec();
             assert_eq!(

@@ -182,16 +182,6 @@ impl MicroBatcher {
             })
             .collect()
     }
-
-    /// [`Self::flush`] if [`Self::ready`] at the server clock's now;
-    /// otherwise an empty vec.
-    pub fn flush_if_ready(&mut self, server: &mut BatchServer) -> Vec<Completed> {
-        if self.ready(server.clock().now_us()) {
-            self.flush(server)
-        } else {
-            Vec::new()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,6 +197,15 @@ mod tests {
             *v = ((i * 31 + 7) % 19) as f32 / 19.0 - 0.5;
         }
         BatchServer::new(EmbeddingStore::new(m)).with_clock(Clock::virtual_at(0))
+    }
+
+    /// Flushes `b` if its window has closed at the server clock's now.
+    fn flush_if_ready(b: &mut MicroBatcher, s: &mut BatchServer) -> Vec<Completed> {
+        if b.ready(s.clock().now_us()) {
+            b.flush(s)
+        } else {
+            Vec::new()
+        }
     }
 
     fn cfg(max_batch: usize, max_wait_us: u64) -> SchedulerConfig {
@@ -241,7 +240,7 @@ mod tests {
         assert_eq!(b.next_deadline_us(), Some(600));
         assert!(b.ready(600));
         s.clock().advance_us(600);
-        let done = b.flush_if_ready(&mut s);
+        let done = b.flush(&mut s);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, id);
         assert_eq!(done[0].arrival_us, 100);
@@ -322,7 +321,7 @@ mod tests {
                 let clock_now = s.clock().now_us();
                 s.clock().advance_us(now.saturating_sub(clock_now));
                 b.submit(Request::TopK { node: i % 8, k: 5 }, now);
-                for c in b.flush_if_ready(&mut s) {
+                for c in flush_if_ready(&mut b, &mut s) {
                     trace.push((c.id, c.arrival_us, c.completed_us));
                 }
             }
@@ -330,7 +329,7 @@ mod tests {
                 let deadline = b.next_deadline_us().unwrap();
                 let now = s.clock().now_us();
                 s.clock().advance_us(deadline.saturating_sub(now));
-                for c in b.flush_if_ready(&mut s) {
+                for c in flush_if_ready(&mut b, &mut s) {
                     trace.push((c.id, c.arrival_us, c.completed_us));
                 }
             }

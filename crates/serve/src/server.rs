@@ -220,11 +220,6 @@ impl BatchServer {
         Ok(self)
     }
 
-    /// Detaches the ANN index, reverting top-k to brute force.
-    pub fn clear_index(&mut self) -> Option<IvfIndex> {
-        self.index.take()
-    }
-
     /// The attached ANN index, if any.
     pub fn index(&self) -> Option<&IvfIndex> {
         self.index.as_ref()
@@ -931,8 +926,6 @@ mod tests {
         // nprobe can be re-tuned in place.
         indexed.set_nprobe(2);
         assert_eq!(indexed.index().unwrap().nprobe(), 2);
-        assert!(indexed.clear_index().is_some());
-        assert!(indexed.index().is_none());
     }
 
     #[test]

@@ -307,11 +307,6 @@ impl EmbeddingStore {
             .predict_with_stats(&m, &state.means, &state.stds);
         Ok(preds[0])
     }
-
-    /// True when a probe has been fitted.
-    pub fn has_probe(&self) -> bool {
-        self.probe.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -474,7 +469,7 @@ mod tests {
         assert!(matches!(s.classify(&[0.0; 3]), Err(ServeError::NoProbe)));
         let train: Vec<usize> = (0..n).collect();
         s.fit_probe(&labels, &train, 2, &ProbeConfig::default(), &mut rng);
-        assert!(s.has_probe());
+        assert!(s.probe.is_some());
         let mut correct = 0;
         for (v, &label) in labels.iter().enumerate() {
             let row = s.embedding(v).unwrap().to_vec();
