@@ -5,10 +5,13 @@
 #   1. cargo fmt --check          — formatting
 #   2. cargo clippy -D warnings   — lints across the whole workspace
 #   3. cargo test -q              — unit, integration, and property tests
-#   3b. scalar-fallback goldens   — the determinism suites re-run with
+#   3b. scalar-fallback goldens   — every determinism suite (goldens,
+#                                   loss strategies, mini-batch
+#                                   equivalence, resume) re-run with
 #                                   E2GCL_KERNEL_CONFIG=scalar so the
 #                                   non-SIMD fallback keeps reproducing the
-#                                   committed scalar fingerprints
+#                                   committed scalar fingerprints and the
+#                                   degenerate-batch and resume bits
 #   4. grep lint                  — no .unwrap()/panic! in non-test library
 #                                   code of the crates that run training
 #                                   (use .expect("reason") or a TrainError)
@@ -94,9 +97,12 @@ cargo test -q --workspace --offline
 echo "==> scalar-fallback goldens: E2GCL_KERNEL_CONFIG=scalar determinism suites"
 # The default run above validates the goldens for the host's dispatch path
 # (avx2 where available). Forcing the scalar path here proves the fallback
-# kernels still reproduce all committed scalar fingerprints (DESIGN.md §16).
+# kernels still reproduce all committed scalar fingerprints (DESIGN.md §16),
+# and that degenerate mini-batches and resumed runs stay bitwise equal to
+# their full-batch and uninterrupted counterparts on that path too.
 E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl \
-    --test golden_determinism --test loss_strategy_determinism
+    --test golden_determinism --test loss_strategy_determinism \
+    --test minibatch_equivalence --test resume_determinism
 
 echo "==> lint: no .unwrap()/panic! in non-test library code"
 # Test modules in this codebase are trailing `#[cfg(test)] mod tests` blocks,

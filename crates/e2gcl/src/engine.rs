@@ -18,16 +18,12 @@
 //! `corrupt_loss → corrupt_gradients → grads scan → inspect → clip →
 //! apply → record` — and steps draw randomness only inside
 //! [`EpochStep::epoch`], so the RNG streams are unchanged.
-//!
-//! Steps that want allocation-free steady-state epochs thread the
-//! driver-owned [`TrainScratch`] (plus their own encoder workspaces)
-//! through their buffers; see `DESIGN.md` §"Training engine".
 
 use crate::checkpoint::{config_fingerprint, StepState, TrainCheckpoint};
 use crate::config::TrainConfig;
 use crate::guard::{FaultPlan, GuardAction, NumericGuard};
 use e2gcl_linalg::{Matrix, TrainError};
-use e2gcl_nn::{optim, TrainScratch};
+use e2gcl_nn::optim;
 use std::path::Path;
 use std::time::Instant;
 
@@ -47,8 +43,6 @@ pub struct EpochCtx<'a> {
     /// The driver-owned guard, exposed read-only for
     /// [`NumericGuard::embeddings_bad`] scans.
     pub guard: &'a NumericGuard,
-    /// Reusable pool for role-less transient matrices.
-    pub scratch: &'a mut TrainScratch,
 }
 
 /// What one call to [`EpochStep::epoch`] produced.
@@ -165,12 +159,11 @@ pub struct EngineRun {
 }
 
 /// Owns the epoch loop shared by every model: guard, fault plan, loss
-/// curve, checkpoint schedule and the reusable [`TrainScratch`].
+/// curve and checkpoint schedule.
 pub struct EpochDriver<'a> {
     cfg: &'a TrainConfig,
     guard: NumericGuard,
     fault: FaultPlan,
-    scratch: TrainScratch,
 }
 
 impl<'a> EpochDriver<'a> {
@@ -181,7 +174,6 @@ impl<'a> EpochDriver<'a> {
             cfg,
             guard: NumericGuard::new(&cfg.guard),
             fault: cfg.fault.clone().unwrap_or_default(),
-            scratch: TrainScratch::new(),
         }
     }
 
@@ -221,16 +213,12 @@ impl<'a> EpochDriver<'a> {
         }
         while epoch < cfg.epochs {
             let lr = step.base_lr(cfg) * self.guard.lr_scale;
-            let outcome = {
-                let mut cx = EpochCtx {
-                    epoch,
-                    lr,
-                    fault: &self.fault,
-                    guard: &self.guard,
-                    scratch: &mut self.scratch,
-                };
-                step.epoch(&mut cx)
-            };
+            let outcome = step.epoch(&mut EpochCtx {
+                epoch,
+                lr,
+                fault: &self.fault,
+                guard: &self.guard,
+            });
             let (loss, emb_bad) = match outcome {
                 EpochOutcome::Step {
                     loss,

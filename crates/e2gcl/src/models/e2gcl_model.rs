@@ -11,7 +11,7 @@ use crate::models::{
 };
 use e2gcl_graph::{CsrGraph, SparseMatrix};
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
-use e2gcl_nn::{loss, optim::Optimizer, Adam, GcnEncoder};
+use e2gcl_nn::{optim::Optimizer, Adam, ContrastiveLoss, GcnEncoder, MarginContrastive};
 use e2gcl_selector::baselines::{
     DegreeSelector, GrainSelector, KCenterGreedy, KMeansSelector, RandomSelector,
 };
@@ -65,14 +65,18 @@ pub enum EncoderKind {
     Sage,
 }
 
-/// Which contrastive objective E²GCL trains with (DESIGN.md §6 ablation:
-/// the paper's Eq. (5) margin loss vs GRACE-style InfoNCE on the same
-/// selected anchors and views).
+/// Which contrastive objective E²GCL trains with on the whole graph under
+/// `LossStrategy::Full` (DESIGN.md §6 ablation: the paper's Eq. (5) margin
+/// loss vs GRACE-style InfoNCE on the same λ-weighted anchor batches and
+/// views). Both are `ContrastiveLoss` kernels of the shared step; the
+/// per-node oracle always trains Eq. (5), and sub-quadratic strategies and
+/// sampled views always train InfoNCE.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LossKind {
-    /// The paper's Eq. (5) Euclidean margin loss.
+    /// The paper's Eq. (5) Euclidean margin loss (`MarginContrastive`).
     Margin,
-    /// Symmetric InfoNCE (NT-Xent) at temperature 0.5.
+    /// Symmetric InfoNCE (NT-Xent) at temperature 0.5 (`FullInfoNce`); a
+    /// batch of one anchor is skipped.
     InfoNce,
 }
 
@@ -201,24 +205,37 @@ impl E2gclModel {
 }
 
 /// One literal Alg. 3 epoch: two fresh ego views per anchor, each encoded
-/// independently, Eq. (5) on the centre representations. Quadratically
-/// more encoder work than the batched form — small graphs only; it shares
-/// the batched step's state and serves as its test oracle.
-struct E2gclPerNodeStep<'s, 'a>(&'s mut E2gclBatchedStep<'a>);
+/// independently, Eq. (5) on the centre representations (under either
+/// `LossKind`) through the same `MarginContrastive` kernel. Quadratically
+/// more encoder work than the batched form — small graphs only; it trains
+/// one λ-weighted batch per epoch and serves as the batched form's test
+/// oracle.
+struct E2gclPerNodeStep<'a> {
+    conf: &'a E2gclConfig,
+    x: &'a Matrix,
+    cfg: &'a TrainConfig,
+    selection: Selection,
+    generator: ViewGenerator,
+    encoder: Encoder,
+    adj_orig: SparseMatrix,
+    loss: MarginContrastive,
+    opt: Adam,
+    train_rng: SeedRng,
+    grads: Vec<Matrix>,
+}
 
-impl EpochStep for E2gclPerNodeStep<'_, '_> {
+impl EpochStep for E2gclPerNodeStep<'_> {
     fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let s = &mut *self.0;
-        let conf = &s.model.config;
-        let cfg = s.cfg;
-        let anchors = &s.selection.nodes;
-        let weights = &s.selection.weights;
+        let conf = self.conf;
+        let cfg = self.cfg;
+        let anchors = &self.selection.nodes;
+        let weights = &self.selection.weights;
         if anchors.is_empty() {
             return EpochOutcome::Stop;
         }
         let bsz = cfg.batch_size.min(anchors.len());
         let batch: Vec<usize> = (0..bsz)
-            .map(|_| anchors[s.train_rng.weighted_index(weights)])
+            .map(|_| anchors[self.train_rng.weighted_index(weights)])
             .collect();
         // Encode each anchor's two ego views; remember everything the
         // backward pass needs.
@@ -226,35 +243,39 @@ impl EpochStep for E2gclPerNodeStep<'_, '_> {
         let mut hb2 = Matrix::zeros(bsz, cfg.embed_dim);
         let mut ctx = Vec::with_capacity(bsz);
         for (i, &v) in batch.iter().enumerate() {
-            let va = s
+            let rng = &mut self.train_rng;
+            let va = self
                 .generator
-                .sample_ego_view(v, conf.tau_hat, conf.eta_hat, &mut s.train_rng);
-            let vb =
-                s.generator
-                    .sample_ego_view(v, conf.tau_tilde, conf.eta_tilde, &mut s.train_rng);
-            let aa = s.encoder.adjacency(&va.graph);
-            let ab = s.encoder.adjacency(&vb.graph);
-            let (ha, ca) = s.encoder.forward(&aa, &va.features);
-            let (hb, cb) = s.encoder.forward(&ab, &vb.features);
+                .sample_ego_view(v, conf.tau_hat, conf.eta_hat, rng);
+            let vb = self
+                .generator
+                .sample_ego_view(v, conf.tau_tilde, conf.eta_tilde, rng);
+            let aa = self.encoder.adjacency(&va.graph);
+            let ab = self.encoder.adjacency(&vb.graph);
+            let (ha, ca) = self.encoder.forward(&aa, &va.features);
+            let (hb, cb) = self.encoder.forward(&ab, &vb.features);
             hb1.set_row(i, ha.row(va.center));
             hb2.set_row(i, hb.row(vb.center));
             ctx.push((va, aa, ca, ha.rows(), vb, ab, cb, hb.rows()));
         }
-        let negatives: Vec<Vec<usize>> = (0..bsz)
-            .map(|i| sample_negative_indices(bsz, i, conf.negatives, &mut s.train_rng))
-            .collect();
-        let (d1, d2, batch_loss) = margin_loss(conf, &hb1, &hb2, &negatives);
+        self.loss.set_negatives(
+            (0..bsz)
+                .map(|i| sample_negative_indices(bsz, i, conf.negatives, &mut self.train_rng))
+                .collect(),
+        );
+        let batch_loss = self.loss.compute(&hb1, &hb2);
+        let (d1, d2) = (self.loss.d_z1(), self.loss.d_z2());
         // Backprop each ego view with a one-hot centre-row gradient.
         let mut acc: Option<Vec<Matrix>> = None;
         for (i, (va, aa, ca, na, vb, ab, cb, nb)) in ctx.iter().enumerate() {
             let mut da = Matrix::zeros(*na, cfg.embed_dim);
             da.set_row(va.center, d1.row(i));
-            GcnEncoder::accumulate(&mut acc, s.encoder.backward(aa, ca, &da), 1.0);
+            GcnEncoder::accumulate(&mut acc, self.encoder.backward(aa, ca, &da), 1.0);
             let mut db = Matrix::zeros(*nb, cfg.embed_dim);
             db.set_row(vb.center, d2.row(i));
-            GcnEncoder::accumulate(&mut acc, s.encoder.backward(ab, cb, &db), 1.0);
+            GcnEncoder::accumulate(&mut acc, self.encoder.backward(ab, cb, &db), 1.0);
         }
-        s.grads = acc.unwrap_or_default();
+        self.grads = acc.unwrap_or_default();
         let embeddings_bad = cx.guard.embeddings_bad(&[&hb1, &hb2]);
         EpochOutcome::Step {
             loss: batch_loss,
@@ -263,23 +284,26 @@ impl EpochStep for E2gclPerNodeStep<'_, '_> {
     }
 
     fn grads_mut(&mut self) -> &mut [Matrix] {
-        self.0.grads_mut()
+        &mut self.grads
     }
 
-    fn apply(&mut self, epoch: usize, lr: f32, loss: f32) {
-        self.0.apply(epoch, lr, loss);
+    fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
+        self.opt.lr = lr;
+        self.opt.step(self.encoder.params_mut(), &self.grads);
     }
 
     fn embed(&mut self) -> Matrix {
-        self.0.embed()
+        self.encoder.embed(&self.adj_orig, self.x)
     }
 
     fn snapshot(&mut self) -> Option<StepState> {
-        self.0.snapshot()
+        let params = self.encoder.params();
+        Some(infonce::snapshot(params, None, &self.opt, &self.train_rng))
     }
 
     fn restore(&mut self, state: &StepState) -> Result<(), TrainError> {
-        self.0.restore(state)
+        let params = self.encoder.params_mut();
+        infonce::restore(params, None, &mut self.opt, &mut self.train_rng, state)
     }
 }
 
@@ -288,11 +312,12 @@ impl ContrastiveModel for E2gclModel {
         "E2GCL".to_string()
     }
 
-    /// Dispatches on view mode, mini-batch block and loss strategy: the
-    /// literal per-node Alg. 3 step; the paper's λ-weighted Eq. (5) step on
-    /// the whole graph (`LossStrategy::Full`); or the shared InfoNCE step
-    /// for a sub-quadratic strategy on the whole graph and for every
-    /// strategy on sampled views (DESIGN.md §13, §15). A degenerate
+    /// Dispatches on view mode: the literal per-node Alg. 3 oracle, or the
+    /// shared contrastive step for everything else (DESIGN.md §13, §15). On
+    /// the whole graph under `LossStrategy::Full` that step draws the
+    /// paper's λ-weighted batches and trains Eq. (5) (or the
+    /// `LossKind::InfoNce` ablation); a sub-quadratic strategy, or a
+    /// sampled view, trains InfoNCE over the selected anchors. A degenerate
     /// mini-batch block trains on the whole graph, bitwise identical to
     /// `minibatch: None`.
     fn pretrain(
@@ -331,35 +356,31 @@ impl ContrastiveModel for E2gclModel {
         let generator = (!sampled)
             .then(|| ViewGenerator::new(g, x, self.view_config(), &mut rng.fork("views")));
         let encoder = Encoder::new(conf.encoder, x.cols(), cfg, &mut rng.fork("init"));
-        let generator = match generator {
-            Some(generator) if cfg.loss.is_full() => {
-                let mut step = E2gclBatchedStep {
-                    model: self,
-                    x,
-                    cfg,
-                    selection,
-                    generator,
-                    adj_orig: encoder.adjacency(g),
-                    encoder,
-                    opt: Adam::with_weight_decay(cfg.lr, cfg.weight_decay),
-                    train_rng: rng.fork("train"),
-                    grads: Vec::new(),
-                };
-                let run = if per_node {
-                    EpochDriver::new(cfg).run(&mut E2gclPerNodeStep(&mut step), start)?
-                } else {
-                    EpochDriver::new(cfg).run(&mut step, start)?
-                };
-                let encoder = step.encoder.into_frozen();
-                return Ok(PretrainResult::from_run(
-                    run,
-                    Some(encoder),
-                    selection_time,
-                    start,
-                ));
-            }
-            generator => generator,
-        };
+        let margin = || MarginContrastive::new(conf.margin, conf.normalize);
+        if per_node {
+            let mut step = E2gclPerNodeStep {
+                conf,
+                x,
+                cfg,
+                selection,
+                generator: generator.expect("per-node mode rejects mini-batches"),
+                adj_orig: encoder.adjacency(g),
+                encoder,
+                loss: margin(),
+                opt: Adam::with_weight_decay(cfg.lr, cfg.weight_decay),
+                train_rng: rng.fork("train"),
+                grads: Vec::new(),
+            };
+            let run = EpochDriver::new(cfg).run(&mut step, start)?;
+            let encoder = Some(step.encoder.into_frozen());
+            return Ok(PretrainResult::from_run(
+                run,
+                encoder,
+                selection_time,
+                start,
+            ));
+        }
+        let weighted = generator.is_some() && cfg.loss.is_full();
         // Whole graph: importance-aware global views. Sampled view: uniform
         // corruption, edges kept at rate τ and features perturbed at rate η.
         let augment = |g: &CsrGraph, x: &Matrix, rng: &mut SeedRng| -> ViewPair {
@@ -380,157 +401,22 @@ impl ContrastiveModel for E2gclModel {
                 ],
             }
         };
-        let twin = Twin::new(encoder);
-        let anchors = Some(selection.nodes);
-        InfoNceStep::new(
+        let mut step = InfoNceStep::new(
             g,
             x,
             cfg,
             augment,
-            twin,
+            Twin::new(encoder),
             None,
-            anchors,
+            Some(selection.nodes),
             0.5,
             rng.fork("train"),
-        )
-        .run(start, selection_time)
-    }
-}
-
-/// Eq. (5) over row-aligned anchor embeddings, on the unit sphere when
-/// `conf.normalize` is set (gradients pulled back through the
-/// normalisation Jacobian); returns `(∂L/∂h1, ∂L/∂h2, loss)`.
-fn margin_loss(
-    conf: &E2gclConfig,
-    h1: &Matrix,
-    h2: &Matrix,
-    negatives: &[Vec<usize>],
-) -> (Matrix, Matrix, f32) {
-    let unit = conf
-        .normalize
-        .then(|| (loss::normalize_rows(h1), loss::normalize_rows(h2)));
-    let (z1, z2) = match &unit {
-        Some(((u1, _), (u2, _))) => (u1, u2),
-        None => (h1, h2),
-    };
-    let out = loss::margin_contrastive(z1, z2, z2, negatives, conf.margin);
-    let mut d2 = out.d_tilde;
-    d2.add_assign(&out.d_neg);
-    match &unit {
-        Some(((u1, n1), (u2, n2))) => (
-            loss::normalize_backward(u1, n1, &out.d_hat),
-            loss::normalize_backward(u2, n2, &d2),
-            out.loss,
-        ),
-        None => (out.d_hat, d2, out.loss),
-    }
-}
-
-/// One batched E²GCL epoch under `LossStrategy::Full`: two global views,
-/// λ-weighted anchor batches, Eq. (5) (or the `LossKind::InfoNce`
-/// ablation) on rows read out of the shared forward passes.
-struct E2gclBatchedStep<'a> {
-    model: &'a E2gclModel,
-    x: &'a Matrix,
-    cfg: &'a TrainConfig,
-    selection: Selection,
-    generator: ViewGenerator,
-    encoder: Encoder,
-    adj_orig: SparseMatrix,
-    opt: Adam,
-    train_rng: SeedRng,
-    grads: Vec<Matrix>,
-}
-
-impl EpochStep for E2gclBatchedStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let conf = &self.model.config;
-        let cfg = self.cfg;
-        let anchors = &self.selection.nodes;
-        let weights = &self.selection.weights;
-        if anchors.is_empty() {
-            return EpochOutcome::Stop;
+        );
+        if weighted {
+            let eq5 = (conf.loss == LossKind::Margin).then(margin);
+            step.weighted(selection.weights, conf.negatives, eq5);
         }
-        // Two diverse positive views per epoch (Alg. 1 line 3-4).
-        let (g1, mut x1) =
-            self.generator
-                .sample_global_view(conf.tau_hat, conf.eta_hat, &mut self.train_rng);
-        let (g2, x2) =
-            self.generator
-                .sample_global_view(conf.tau_tilde, conf.eta_tilde, &mut self.train_rng);
-        cx.fault.corrupt_features(cx.epoch, &mut x1);
-        let a1 = self.encoder.adjacency(&g1);
-        let a2 = self.encoder.adjacency(&g2);
-        let (h1, c1) = self.encoder.forward(&a1, &x1);
-        let (h2, c2) = self.encoder.forward(&a2, &x2);
-        let mut d_h1 = Matrix::zeros(h1.rows(), h1.cols());
-        let mut d_h2 = Matrix::zeros(h2.rows(), h2.cols());
-        // λ-weighted anchor batches: sampling anchors ∝ λ reproduces
-        // the Eq. (8) weighting in expectation while keeping the
-        // per-batch loss unweighted.
-        let num_batches = anchors.len().div_ceil(cfg.batch_size).max(1);
-        let mut epoch_loss = 0.0f32;
-        for _ in 0..num_batches {
-            let bsz = cfg.batch_size.min(anchors.len());
-            let batch: Vec<usize> = (0..bsz)
-                .map(|_| anchors[self.train_rng.weighted_index(weights)])
-                .collect();
-            let hb1 = h1.select_rows(&batch);
-            let hb2 = h2.select_rows(&batch);
-            let negatives: Vec<Vec<usize>> = (0..bsz)
-                .map(|i| sample_negative_indices(bsz, i, conf.negatives, &mut self.train_rng))
-                .collect();
-            let (d_hat, d_tilde_and_neg, batch_loss) = if conf.loss == LossKind::InfoNce {
-                let out = loss::info_nce(&hb1, &hb2, 0.5);
-                (out.d_z1, out.d_z2, out.loss)
-            } else {
-                margin_loss(conf, &hb1, &hb2, &negatives)
-            };
-            epoch_loss += batch_loss / num_batches as f32;
-            // Scatter batch gradients back to full-view rows.
-            for (i, &v) in batch.iter().enumerate() {
-                for (dst, &src) in d_h1.row_mut(v).iter_mut().zip(d_hat.row(i)) {
-                    *dst += src / num_batches as f32;
-                }
-                for (dst, &src) in d_h2.row_mut(v).iter_mut().zip(d_tilde_and_neg.row(i)) {
-                    *dst += src / num_batches as f32;
-                }
-            }
-        }
-        // Backprop both views and accumulate; the engine decides whether
-        // this epoch's update is applied.
-        let mut acc = None;
-        GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a1, &c1, &d_h1), 1.0);
-        GcnEncoder::accumulate(&mut acc, self.encoder.backward(&a2, &c2, &d_h2), 1.0);
-        self.grads = acc.unwrap_or_default();
-        let embeddings_bad = cx.guard.embeddings_bad(&[&h1, &h2]);
-        EpochOutcome::Step {
-            loss: epoch_loss,
-            embeddings_bad,
-        }
-    }
-
-    fn grads_mut(&mut self) -> &mut [Matrix] {
-        &mut self.grads
-    }
-
-    fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt.step(self.encoder.params_mut(), &self.grads);
-    }
-
-    fn embed(&mut self) -> Matrix {
-        self.encoder.embed(&self.adj_orig, self.x)
-    }
-
-    fn snapshot(&mut self) -> Option<StepState> {
-        let params = self.encoder.params();
-        Some(infonce::snapshot(params, None, &self.opt, &self.train_rng))
-    }
-
-    fn restore(&mut self, state: &StepState) -> Result<(), TrainError> {
-        let params = self.encoder.params_mut();
-        infonce::restore(params, None, &mut self.opt, &mut self.train_rng, state)
+        step.run(start, selection_time)
     }
 }
 
@@ -898,6 +784,24 @@ mod tests {
             "{:?}",
             out.loss_curve
         );
+    }
+
+    /// A one-anchor selection trains under both objectives: Eq. (5) on
+    /// its one-row batches, while the InfoNCE ablation skips them.
+    #[test]
+    fn one_anchor_selection_trains_under_every_loss_kind() {
+        let d = NodeDataset::generate(&spec("cora-sim").unwrap(), 0.05, 0);
+        for loss in [LossKind::Margin, LossKind::InfoNce] {
+            let model = E2gclModel::new(E2gclConfig {
+                loss,
+                node_ratio: 0.0,
+                ..Default::default()
+            });
+            let out = model
+                .pretrain(&d.graph, &d.features, &tiny_cfg(), &mut SeedRng::new(0))
+                .unwrap_or_else(|e| panic!("{loss:?}: {e}"));
+            assert!(!out.embeddings.has_non_finite(), "{loss:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The InfoNCE-family epoch step shared by GRACE/GCA and E²GCL (DESIGN.md
-//! §13, §15).
+//! The contrastive epoch step shared by GRACE/GCA and E²GCL (DESIGN.md
+//! §13, §15): it runs every contrastive objective — full, small-negative
+//! and localized InfoNCE, and the paper's Eq. (5).
 //!
 //! Alg. 1 is one loop — make two views, encode both, apply a contrastive
 //! loss — and [`InfoNceStep`] is that loop, split the way the GCL surveys
@@ -19,20 +20,28 @@
 //!   view)` when the view is chunked, and is a plain copy otherwise;
 //! * encoder gradients accumulate at `1/(number of views)`;
 //! * full InfoNCE on the whole graph runs in shuffled `cfg.batch_size`
-//!   chunks, drawn after the views.
+//!   chunks, drawn after the views; E²GCL's λ-weighted batches
+//!   ([`InfoNceStep::weighted`]) replace the shuffle with
+//!   `ceil(|anchors| / batch_size)` batches of `min(batch_size, |anchors|)`
+//!   draws ∝ λ, each followed by one negative draw per row;
+//! * a loss batch of fewer than 2 rows is skipped under the InfoNCE
+//!   kernels; Eq. (5) trains on it.
 
 use crate::checkpoint::{restore_params, StepState};
 use crate::config::{LossStrategy, TrainConfig};
 use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
 use crate::models::e2gcl_model::EncoderKind;
-use crate::models::{sampled_minibatch, select_negatives, shuffled_batches, PretrainResult};
+use crate::models::{
+    sample_negative_indices, sampled_minibatch, select_negatives, shuffled_batches, PretrainResult,
+};
 use e2gcl_graph::{norm, CsrGraph, NeighborSampler, SparseMatrix};
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
 use e2gcl_nn::sage::{SageCache, SageEncoder};
 use e2gcl_nn::sgc::{SgcCache, SgcEncoder};
 use e2gcl_nn::{
     gcn::GcnCache, optim::Optimizer, Adam, ContrastiveLoss, FrozenEncoder, FullInfoNce, GcnEncoder,
-    GcnWorkspace, LocalizedInfoNce, Mlp, MlpWorkspace, Neighborhoods, SmallNegInfoNce,
+    GcnWorkspace, LocalizedInfoNce, MarginContrastive, Mlp, MlpWorkspace, Neighborhoods,
+    SmallNegInfoNce,
 };
 use std::time::{Duration, Instant};
 
@@ -204,46 +213,53 @@ impl Twin {
     }
 }
 
-/// The configured [`LossStrategy`] as a fused kernel with its own scratch
-/// (boxed: the scratches are large).
-enum InfoNceStrategy {
+/// The configured [`LossStrategy`] (or E²GCL's Eq. (5)) as a fused kernel
+/// with its own scratch (boxed: the scratches are large).
+enum Objective {
     Full(Box<FullInfoNce>),
+    Margin(Box<MarginContrastive>),
     SmallNeg(usize, Box<SmallNegInfoNce>),
     Localized(usize, Box<LocalizedInfoNce>),
 }
 
-impl InfoNceStrategy {
-    fn new(loss: &LossStrategy, tau: f32) -> InfoNceStrategy {
+impl Objective {
+    fn new(loss: &LossStrategy, tau: f32) -> Objective {
         match *loss {
-            LossStrategy::Full => InfoNceStrategy::Full(Box::new(FullInfoNce::new(tau))),
+            LossStrategy::Full => Objective::Full(Box::new(FullInfoNce::new(tau))),
             LossStrategy::SmallNeg { negatives } => {
-                InfoNceStrategy::SmallNeg(negatives, Box::new(SmallNegInfoNce::new(tau)))
+                Objective::SmallNeg(negatives, Box::new(SmallNegInfoNce::new(tau)))
             }
-            LossStrategy::Localized { hops } => InfoNceStrategy::Localized(
+            LossStrategy::Localized { hops } => Objective::Localized(
                 hops,
                 Box::new(LocalizedInfoNce::new(tau, Neighborhoods::default())),
             ),
         }
     }
 
-    /// Strategy-specific setup for one loss batch. Smallneg re-selects its
-    /// negatives among the view-1 anchor rows `z1` from a `"negatives"`
-    /// fork of `rng`; localized takes `graph`'s L-hop topology (when given)
-    /// and the anchors in ascending order (`None` = every row).
+    /// Strategy-specific setup for one loss batch. Eq. (5) takes the
+    /// batch's drawn `negatives`; smallneg re-selects its negatives among
+    /// the view-1 anchor rows `z1` from a `"negatives"` fork of `rng`;
+    /// localized takes `graph`'s L-hop topology (when given) and the
+    /// anchors in ascending order (`None` = every row).
     fn prepare(
         &mut self,
         z1: &Matrix,
         anchors: Option<&[usize]>,
         graph: Option<&CsrGraph>,
+        negatives: Vec<Vec<usize>>,
         rng: &mut SeedRng,
     ) -> &mut dyn ContrastiveLoss {
         match self {
-            InfoNceStrategy::Full(loss) => loss.as_mut(),
-            InfoNceStrategy::SmallNeg(k, loss) => {
+            Objective::Full(loss) => loss.as_mut(),
+            Objective::Margin(loss) => {
+                loss.set_negatives(negatives);
+                loss.as_mut()
+            }
+            Objective::SmallNeg(k, loss) => {
                 loss.set_negatives(&select_negatives(z1, *k, &mut rng.fork("negatives")));
                 loss.as_mut()
             }
-            InfoNceStrategy::Localized(hops, loss) => {
+            Objective::Localized(hops, loss) => {
                 if let Some(g) = graph {
                     loss.set_topology(Neighborhoods::from_graph(g, *hops));
                 }
@@ -260,9 +276,10 @@ impl InfoNceStrategy {
     /// `∂L/∂z` of view `side` from the last `compute`.
     fn d_z(&self, side: usize) -> &Matrix {
         let kernel: &dyn ContrastiveLoss = match self {
-            InfoNceStrategy::Full(loss) => loss.as_ref(),
-            InfoNceStrategy::SmallNeg(_, loss) => loss.as_ref(),
-            InfoNceStrategy::Localized(_, loss) => loss.as_ref(),
+            Objective::Full(loss) => loss.as_ref(),
+            Objective::Margin(loss) => loss.as_ref(),
+            Objective::SmallNeg(_, loss) => loss.as_ref(),
+            Objective::Localized(_, loss) => loss.as_ref(),
         };
         if side == 0 {
             kernel.d_z1()
@@ -329,6 +346,41 @@ pub(crate) fn restore(
     Ok(())
 }
 
+/// E²GCL's λ-weighted batching of the whole graph: anchors drawn ∝ their
+/// selection weights, with `negatives` sampled batch rows per anchor.
+struct Weighted {
+    weights: Vec<f32>,
+    negatives: usize,
+}
+
+impl Weighted {
+    /// One epoch's batches and their per-row negatives. `anchors` maps a
+    /// weight index to its row (`None` = the identity).
+    fn draw(
+        &self,
+        anchors: Option<&[usize]>,
+        batch_size: usize,
+        rng: &mut SeedRng,
+    ) -> (Vec<Vec<usize>>, Vec<Vec<Vec<usize>>>) {
+        let len = self.weights.len();
+        let bsz = batch_size.min(len);
+        (0..len.div_ceil(batch_size))
+            .map(|_| {
+                let rows = (0..bsz)
+                    .map(|_| {
+                        let j = rng.weighted_index(&self.weights);
+                        anchors.map_or(j, |a| a[j])
+                    })
+                    .collect();
+                let negatives = (0..bsz)
+                    .map(|i| sample_negative_indices(bsz, i, self.negatives, rng))
+                    .collect();
+                (rows, negatives)
+            })
+            .unzip()
+    }
+}
+
 /// A projection head and one workspace per view.
 struct Head {
     mlp: Mlp,
@@ -345,10 +397,12 @@ pub(crate) struct InfoNceStep<'a, A> {
     anchors: Option<Vec<usize>>,
     /// Seed sampler and batch size; `None` trains on the whole graph.
     sampler: Option<(NeighborSampler, usize)>,
+    /// λ-weighted whole-graph batches; `None` shuffles the anchors.
+    weighted: Option<Weighted>,
     adj_orig: SparseMatrix,
     twin: Twin,
     head: Option<Head>,
-    loss: InfoNceStrategy,
+    loss: Objective,
     opt: Adam,
     rng: SeedRng,
     grads: Vec<Matrix>,
@@ -376,14 +430,14 @@ where
         tau: f32,
         rng: SeedRng,
     ) -> Self {
-        let mut loss = InfoNceStrategy::new(&cfg.loss, tau);
+        let mut loss = Objective::new(&cfg.loss, tau);
         // Sample exactly the encoder's receptive field: deeper nodes cannot
         // influence the anchor rows the loss reads.
         let sampler = sampled_minibatch(cfg, g.num_nodes()).map(|mb| {
             let hops = cfg.encoder_dims(x.cols()).len() - 1;
             (NeighborSampler::new(hops, mb.fanout), mb.batch_nodes)
         });
-        if let (None, InfoNceStrategy::Localized(hops, l)) = (&sampler, &mut loss) {
+        if let (None, Objective::Localized(hops, l)) = (&sampler, &mut loss) {
             // The whole graph's neighbourhoods are fixed for the run.
             l.set_topology(Neighborhoods::from_graph(g, *hops));
         }
@@ -394,6 +448,7 @@ where
             augment,
             anchors,
             sampler,
+            weighted: None,
             adj_orig: twin.enc.adjacency(g),
             twin,
             head: head.map(|mlp| Head {
@@ -406,6 +461,22 @@ where
             grads: Vec::new(),
             hb: Default::default(),
             d_h: Default::default(),
+        }
+    }
+
+    /// Batches the whole graph E²GCL's way under full InfoNCE: λ-weighted
+    /// anchor draws by `weights` (parallel to the anchors) with
+    /// `negatives` sampled rows each; `margin` swaps full InfoNCE for the
+    /// Eq. (5) kernel. Sampled views keep their shuffled seed batches.
+    pub(crate) fn weighted(
+        &mut self,
+        weights: Vec<f32>,
+        negatives: usize,
+        margin: Option<MarginContrastive>,
+    ) {
+        self.weighted = Some(Weighted { weights, negatives });
+        if let Some(kernel) = margin {
+            self.loss = Objective::Margin(Box::new(kernel));
         }
     }
 
@@ -440,6 +511,7 @@ where
         let Self {
             cfg,
             anchors,
+            weighted,
             twin,
             head,
             loss,
@@ -465,16 +537,20 @@ where
         // Identity anchors read the encoder outputs without a copy.
         let anchors =
             anchors.filter(|a| a.len() != n || a.iter().enumerate().any(|(i, &v)| i != v));
-        // Full InfoNCE on the whole graph runs in shuffled `batch_size`
-        // chunks; any other view is one loss batch. The sparse localized
-        // kernel reads the anchor rows in place, so it never gathers.
-        let localized = matches!(loss, InfoNceStrategy::Localized(..));
-        let chunked = graph.is_none() && matches!(loss, InfoNceStrategy::Full(_));
-        let chunks = if chunked {
-            let order = anchors.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
-            shuffled_batches(order, cfg.batch_size, rng)
-        } else {
-            Vec::new()
+        // Full InfoNCE and Eq. (5) on the whole graph run in `batch_size`
+        // chunks, shuffled or λ-weighted; any other view is one loss batch.
+        // The sparse localized kernel reads the anchor rows in place, so it
+        // never gathers.
+        let localized = matches!(loss, Objective::Localized(..));
+        let margin = matches!(loss, Objective::Margin(_));
+        let chunked = graph.is_none() && (margin || matches!(loss, Objective::Full(_)));
+        let (chunks, mut negatives) = match weighted {
+            Some(w) if chunked => w.draw(anchors, cfg.batch_size, rng),
+            _ if chunked => {
+                let order = anchors.map_or_else(|| (0..n).collect(), <[usize]>::to_vec);
+                (shuffled_batches(order, cfg.batch_size, rng), Vec::new())
+            }
+            _ => Default::default(),
         };
         let batches: Vec<Option<&[usize]>> = if chunked {
             chunks.iter().map(|c| Some(c.as_slice())).collect()
@@ -491,8 +567,8 @@ where
         }
         let mut head = head.as_mut().filter(|_| !localized);
         let mut view_loss = 0.0;
-        for rows in batches {
-            if chunked && rows.is_some_and(|r| r.len() < 2) {
+        for (b, rows) in batches.into_iter().enumerate() {
+            if chunked && !margin && rows.is_some_and(|r| r.len() < 2) {
                 continue;
             }
             let z = match rows {
@@ -503,7 +579,8 @@ where
                 }
                 None => [h1, h2],
             };
-            let kernel = loss.prepare(z[0], anchors, graph, rng);
+            let negatives = negatives.get_mut(b).map(std::mem::take).unwrap_or_default();
+            let kernel = loss.prepare(z[0], anchors, graph, negatives, rng);
             let batch_loss = match head.as_deref_mut() {
                 Some(Head { mlp, ws }) => {
                     mlp.forward_with(z[0], &mut ws[0]);
@@ -553,6 +630,14 @@ where
                 twin.backward(side, &adj[side], d),
                 scale,
             );
+        }
+        if twin.ws.is_none() {
+            // Allocating passes keep no gather buffer resident between
+            // views: E²GCL frees its per-view matrices around it, and a
+            // resident n-row buffer fragments that heap (train_full's peak
+            // RSS rose from about 75 MB to about 97 MB).
+            *d_h = Default::default();
+            *hb = Default::default();
         }
         (view_loss, bad)
     }

@@ -1,8 +1,12 @@
-//! Pluggable contrastive-loss strategies: the O(n²) full InfoNCE and two
-//! sub-quadratic alternatives behind one [`ContrastiveLoss`] trait.
+//! Pluggable contrastive-loss strategies: the O(n²) full InfoNCE, two
+//! sub-quadratic alternatives and the paper's Eq. (5) margin loss behind
+//! one [`ContrastiveLoss`] trait.
 //!
 //! * [`FullInfoNce`] — the existing fused [`loss::info_nce_with`] kernel,
 //!   unchanged numerics (golden fingerprints stay valid);
+//! * [`MarginContrastive`] — Eq. (5) over sampled per-row negatives, the
+//!   [`loss::margin_contrastive_with`] kernel on (optionally) normalised
+//!   rows;
 //! * [`SmallNegInfoNce`] — anchors score against a fixed set of `k`
 //!   representative negative rows ("Does GCL Need a Large Number of
 //!   Negative Samples?" / E2Neg): O(n·k) similarity work and memory,
@@ -14,8 +18,9 @@
 //!
 //! # Determinism contract
 //!
-//! All three kernels are bit-identical run-to-run and across
-//! `RAYON_NUM_THREADS`:
+//! All four kernels are bit-identical run-to-run and across
+//! `RAYON_NUM_THREADS` (the Eq. (5) kernel's loss and gradient loops are
+//! serial; only its per-row normalisation is parallel):
 //!
 //! * every similarity is the *dispatched* lane-dot kernel
 //!   ([`e2gcl_linalg::dispatch`]: [`ops::lane_dot`] on the scalar path,
@@ -30,7 +35,7 @@
 //!
 //! See `DESIGN.md` §15 for the full contract and complexity table.
 
-use crate::loss::{self, InfoNceScratch};
+use crate::loss::{self, InfoNceScratch, MarginScratch};
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{ops, Matrix};
 use rayon::prelude::*;
@@ -40,8 +45,8 @@ use rayon::prelude::*;
 /// once warm, and the gradients of the *last* `compute` are readable via
 /// [`d_z1`](Self::d_z1)/[`d_z2`](Self::d_z2).
 pub trait ContrastiveLoss {
-    /// Stable kernel name for logs and benches (`"full"`, `"smallneg"`,
-    /// `"localized"`).
+    /// Stable kernel name for logs and benches (`"full"`, `"margin"`,
+    /// `"smallneg"`, `"localized"`).
     fn name(&self) -> &'static str;
 
     /// Fused loss over the two views' embeddings (`n×d`, row-aligned
@@ -88,6 +93,87 @@ impl ContrastiveLoss for FullInfoNce {
 
     fn d_z2(&self) -> &Matrix {
         self.s.d_z2()
+    }
+}
+
+/// The paper's Eq. (5) margin loss, wrapping [`loss::margin_contrastive_with`]
+/// with view 2 as the negative pool: each anchor row `i` is pushed away
+/// from the view-2 rows listed in its negatives. With `normalize` set the
+/// loss runs on the unit sphere and the gradients are pulled back through
+/// the normalisation Jacobian; `∂L/∂z2` is the sum of the positive and the
+/// negative-pool gradients.
+#[derive(Debug, Default)]
+pub struct MarginContrastive {
+    margin: f32,
+    normalize: bool,
+    negatives: Vec<Vec<usize>>,
+    u1: Matrix,
+    u2: Matrix,
+    n1: Vec<f32>,
+    n2: Vec<f32>,
+    s: MarginScratch,
+    du2: Matrix,
+    d_z1: Matrix,
+    d_z2: Matrix,
+}
+
+impl MarginContrastive {
+    /// An Eq. (5) strategy at `margin` (`f32::INFINITY` = the literal
+    /// unbounded form), optionally on L2-normalised rows. Call
+    /// [`set_negatives`](Self::set_negatives) before each `compute`.
+    pub fn new(margin: f32, normalize: bool) -> Self {
+        MarginContrastive {
+            margin,
+            normalize,
+            ..MarginContrastive::default()
+        }
+    }
+
+    /// Replaces the per-row negatives: `negatives[i]` lists the view-2 rows
+    /// anchor `i` is pushed away from.
+    pub fn set_negatives(&mut self, negatives: Vec<Vec<usize>>) {
+        self.negatives = negatives;
+    }
+}
+
+impl ContrastiveLoss for MarginContrastive {
+    fn name(&self) -> &'static str {
+        "margin"
+    }
+
+    fn compute(&mut self, z1: &Matrix, z2: &Matrix) -> f32 {
+        let (h1, h2) = if self.normalize {
+            loss::normalize_rows_into(z1, &mut self.u1, &mut self.n1);
+            loss::normalize_rows_into(z2, &mut self.u2, &mut self.n2);
+            (&self.u1, &self.u2)
+        } else {
+            (z1, z2)
+        };
+        let l =
+            loss::margin_contrastive_with(h1, h2, h2, &self.negatives, self.margin, &mut self.s);
+        self.du2.copy_from(self.s.d_tilde());
+        self.du2.add_assign(self.s.d_neg());
+        if self.normalize {
+            loss::normalize_backward_into(&self.u1, &self.n1, self.s.d_hat(), &mut self.d_z1);
+            loss::normalize_backward_into(&self.u2, &self.n2, &self.du2, &mut self.d_z2);
+        }
+        l
+    }
+
+    fn d_z1(&self) -> &Matrix {
+        if self.normalize {
+            &self.d_z1
+        } else {
+            self.s.d_hat()
+        }
+    }
+
+    fn d_z2(&self) -> &Matrix {
+        if self.normalize {
+            &self.d_z2
+        } else {
+            &self.du2
+        }
     }
 }
 
@@ -1140,6 +1226,48 @@ mod tests {
         assert_eq!(strat.name(), "full");
     }
 
+    /// The Eq. (5) kernel is bitwise the allocating composition
+    /// `normalize_rows → margin_contrastive(u1, u2, u2) → normalize_backward`,
+    /// with and without normalisation, at a finite and an infinite margin,
+    /// and from a scratch warmed at another row count.
+    #[test]
+    fn margin_strategy_is_bitwise_the_allocating_composition() {
+        let negatives = |n: usize| -> Vec<Vec<usize>> {
+            (0..n).map(|i| vec![(i + 1) % n, (i + 2) % n]).collect()
+        };
+        for normalize in [true, false] {
+            for margin in [0.8, f32::INFINITY] {
+                let mut strat = MarginContrastive::new(margin, normalize);
+                for (rows, seed) in [(6, 68), (4, 70)] {
+                    let (z1, z2) = (rand_matrix(rows, 4, seed), rand_matrix(rows, 4, seed + 1));
+                    strat.set_negatives(negatives(rows));
+                    let l = strat.compute(&z1, &z2);
+                    let unit =
+                        normalize.then(|| (loss::normalize_rows(&z1), loss::normalize_rows(&z2)));
+                    let (h1, h2) = match &unit {
+                        Some(((u1, _), (u2, _))) => (u1, u2),
+                        None => (&z1, &z2),
+                    };
+                    let out = loss::margin_contrastive(h1, h2, h2, &negatives(rows), margin);
+                    let mut du2 = out.d_tilde;
+                    du2.add_assign(&out.d_neg);
+                    let (d1, d2) = match &unit {
+                        Some(((u1, n1), (u2, n2))) => (
+                            loss::normalize_backward(u1, n1, &out.d_hat),
+                            loss::normalize_backward(u2, n2, &du2),
+                        ),
+                        None => (out.d_hat, du2),
+                    };
+                    let what = format!("normalize {normalize}, margin {margin}, {rows} rows");
+                    assert_eq!(l.to_bits(), out.loss.to_bits(), "{what}");
+                    assert_eq!(strat.d_z1(), &d1, "{what}");
+                    assert_eq!(strat.d_z2(), &d2, "{what}");
+                }
+                assert_eq!(strat.name(), "margin");
+            }
+        }
+    }
+
     /// Strategies are object-safe: the model steps hold them behind the
     /// trait when they don't need strategy-specific setters.
     #[test]
@@ -1149,8 +1277,11 @@ mod tests {
         let g = ring_graph(6);
         let mut smallneg = SmallNegInfoNce::new(0.5);
         smallneg.set_negatives(&[0, 3]);
+        let mut margin = MarginContrastive::new(1.0, true);
+        margin.set_negatives((0..6).map(|i| vec![(i + 1) % 6, (i + 3) % 6]).collect());
         let mut strategies: Vec<Box<dyn ContrastiveLoss>> = vec![
             Box::new(FullInfoNce::new(0.5)),
+            Box::new(margin),
             Box::new(smallneg),
             Box::new(LocalizedInfoNce::new(0.5, Neighborhoods::from_graph(&g, 1))),
         ];

@@ -10,18 +10,19 @@
 //! * [`loss`] — Eq. (5) margin contrastive loss, InfoNCE (GRACE/GCA), BCE,
 //!   softmax cross-entropy, cosine bootstrap (BGRL);
 //! * [`contrast`] — pluggable [`ContrastiveLoss`] strategies: the full
-//!   O(n²) InfoNCE plus sub-quadratic small-negative-set and
-//!   neighbourhood-localized kernels (DESIGN.md §15);
+//!   O(n²) InfoNCE, the Eq. (5) margin loss, and sub-quadratic
+//!   small-negative-set and neighbourhood-localized kernels (DESIGN.md
+//!   §15);
 //! * [`optim`] — SGD and Adam;
 //! * [`probe`] — the `l2`-regularised linear probe used by the evaluation
 //!   protocol (§V-A2), plus the link-prediction decoder;
 //! * [`ema`] — exponential-moving-average target parameters (BGRL/AFGRL);
 //! * [`frozen`] — inference-only [`frozen::FrozenEncoder`], the unit of
 //!   persistence and serving (`e2gcl-serve` artifacts);
-//! * [`scratch`] — the per-run [`TrainScratch`] buffer pool; together with
-//!   the `*Workspace` types ([`gcn::GcnWorkspace`], [`sage::SageWorkspace`],
-//!   [`mlp::MlpWorkspace`]) and the `*_with` loss variants it lets
-//!   steady-state training epochs run without allocating new matrices.
+//! * the `*Workspace` types ([`gcn::GcnWorkspace`],
+//!   [`sage::SageWorkspace`], [`mlp::MlpWorkspace`]) and the `*_with` loss
+//!   variants let steady-state training epochs run without allocating new
+//!   matrices.
 //!
 //! Every gradient is validated against central finite differences in the
 //! test suites (`grad check` tests in each module).
@@ -35,16 +36,15 @@ pub mod mlp;
 pub mod optim;
 pub mod probe;
 pub mod sage;
-pub mod scratch;
 pub mod sgc;
 
 pub use contrast::{
-    ContrastiveLoss, FullInfoNce, LocalizedInfoNce, Neighborhoods, SmallNegInfoNce,
+    ContrastiveLoss, FullInfoNce, LocalizedInfoNce, MarginContrastive, Neighborhoods,
+    SmallNegInfoNce,
 };
 pub use frozen::{EncoderWorkspace, FrozenEncoder};
 pub use gcn::{GcnEncoder, GcnWorkspace};
 pub use mlp::{Linear, Mlp, MlpWorkspace};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sage::{SageEncoder, SageWorkspace};
-pub use scratch::TrainScratch;
 pub use sgc::SgcEncoder;

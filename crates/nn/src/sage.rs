@@ -275,14 +275,6 @@ impl SageEncoder {
         grads.reverse();
         grads
     }
-
-    /// One SGD step with the gradients from [`Self::backward`].
-    pub fn sgd_step(&mut self, grads: &[Matrix], lr: f32) {
-        assert_eq!(self.params.len(), grads.len());
-        for (p, g) in self.params.iter_mut().zip(grads) {
-            p.axpy(-lr, g);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -366,27 +358,6 @@ mod tests {
             enc.backward_with(&adj, &x, &mut ws, &d_out);
             assert_eq!(ws.grads(), &grads[..]);
         }
-    }
-
-    #[test]
-    fn sgd_descends() {
-        let (adj, x) = setup();
-        let mut enc = SageEncoder::new(&[3, 4, 2], &mut SeedRng::new(3));
-        let loss = |e: &SageEncoder| {
-            0.5 * e
-                .embed(&adj, &x)
-                .as_slice()
-                .iter()
-                .map(|v| v * v)
-                .sum::<f32>()
-        };
-        let before = loss(&enc);
-        for _ in 0..30 {
-            let (h, cache) = enc.forward(&adj, &x);
-            let grads = enc.backward(&adj, &cache, &h);
-            enc.sgd_step(&grads, 0.05);
-        }
-        assert!(loss(&enc) < 0.2 * before);
     }
 
     #[test]
