@@ -17,7 +17,9 @@
 #                                   (use .expect("reason") or a TrainError)
 #   5. grep lint                  — NumericGuard is constructed only by the
 #                                   training engine (engine.rs); models must
-#                                   go through EpochDriver
+#                                   go through EpochDriver, which also owns
+#                                   the run clock, so non-test code under
+#                                   crates/e2gcl/src/models/ names no Instant
 #   6. release smoke run          — the quickstart example drives the full
 #                                   selector -> views -> EpochDriver stack
 #                                   in release mode
@@ -53,7 +55,8 @@
 #  11. loss strategy smoke        — CLI pre-training with --loss smallneg
 #                                   and --loss localized must succeed; an
 #                                   unknown --loss must exit with a usage
-#                                   error, not a panic
+#                                   error, not a panic, and a misspelled
+#                                   flag (--epoch) must exit 2
 #  12. scale bench smoke          — scale_bench --quick trains E2GCL and
 #                                   GRACE mini-batch plus one FULL-BATCH
 #                                   E2GCL epoch with the small-negative-set
@@ -122,7 +125,7 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-echo "==> lint: NumericGuard::new only in the training engine"
+echo "==> lint: NumericGuard::new only in the training engine, no Instant in models"
 # Every model must train through EpochDriver; constructing a guard anywhere
 # else bypasses the engine's backoff/recovery sequencing. Same technique as
 # above: scan only production code (before the first #[cfg(test)]).
@@ -137,6 +140,20 @@ for f in $(find crates -name '*.rs' ! -path '*/engine.rs' | sort); do
 done
 if [ "$fail" -ne 0 ]; then
     echo "error: NumericGuard::new outside engine.rs — route training through EpochDriver" >&2
+    exit 1
+fi
+# EpochDriver owns the run clock (total time, checkpoint stamps, selection
+# time), so models never read one themselves.
+for f in $(find crates/e2gcl/src/models -name '*.rs' | sort); do
+    hits=$(awk '/#\[cfg\(test\)\]/{exit} {sub(/^[ \t]+/, ""); if ($0 !~ /^\/\//) print FILENAME":"FNR": "$0}' "$f" \
+        | grep -F 'Instant' || true)
+    if [ -n "$hits" ]; then
+        echo "$hits"
+        fail=1
+    fi
+done
+if [ "$fail" -ne 0 ]; then
+    echo "error: Instant in a model — timing belongs to EpochDriver (engine.rs)" >&2
     exit 1
 fi
 
@@ -221,7 +238,8 @@ rm -f "$mb_artifact" "$mb_resumed" "$mb_ckpt"
 echo "==> loss strategy smoke: CLI --loss smallneg/localized end to end"
 # The sub-quadratic loss kernels through the CLI surface: a smallneg and a
 # localized pre-train must both succeed, and an unknown strategy must be a
-# usage error (exit 2), not a panic.
+# usage error (exit 2), not a panic. So must a misspelled flag, which the
+# CLI would otherwise ignore and train with the default.
 loss_flags="--dataset cora-sim --scale 0.05 --epochs 2 --seed 3"
 target/release/e2gcl-cli pretrain $loss_flags --loss smallneg --negatives 64 \
     --out target/ci-loss-smallneg.json
@@ -232,6 +250,12 @@ test -s target/ci-loss-localized.json
 if target/release/e2gcl-cli pretrain $loss_flags --loss bogus \
     --out target/ci-loss-bogus.json 2>/dev/null; then
     echo "FAIL: --loss bogus was accepted"; exit 1
+fi
+code=0
+target/release/e2gcl-cli pretrain $loss_flags --epoch 3 \
+    --out target/ci-loss-typo.json 2>/dev/null || code=$?
+if [ "$code" -ne 2 ]; then
+    echo "FAIL: misspelled --epoch exited $code, not the usage error 2"; exit 1
 fi
 rm -f target/ci-loss-smallneg.json target/ci-loss-localized.json
 

@@ -227,6 +227,13 @@ mod tests {
         assert_eq!(f.get_parse("rows", 0usize).expect("parses"), 100);
         assert_eq!(f.get_parse("dim", 0usize).expect("parses"), 32);
         assert_eq!(f.get_parse("absent", 7u64).expect("default"), 7);
+        // Only the first '=' splits, and '=' may give an empty value.
+        let fs = FlagSet::new().valued("expr").valued("out");
+        let f = fs
+            .parse(&argv(&["--expr=a=b", "--out="]))
+            .expect("valid argv");
+        assert_eq!(f.get("expr", ""), "a=b");
+        assert_eq!(f.get("out", "default"), "");
     }
 
     #[test]

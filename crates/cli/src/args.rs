@@ -1,59 +1,46 @@
-//! Minimal `--flag value` / `--flag=value` argument parsing (no external
-//! dependencies).
+//! The CLI's argument parsing: the flag groups the commands share and
+//! [`parse`], which checks an argument vector against them with the bench
+//! bins' [`FlagSet`].
 
-use std::collections::HashMap;
+use e2gcl_bench::flags::{FlagError, FlagSet, Flags};
 
-/// Parsed `--key value` pairs.
-pub struct Args {
-    values: HashMap<String, String>,
-}
+/// Flags of every command that builds its dataset, model and training
+/// config through `commands::common`.
+pub const COMMON: &[&str] = &[
+    "dataset",
+    "scale",
+    "model",
+    "epochs",
+    "seed",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+    "minibatch",
+    "batch-nodes",
+    "fanout",
+    "loss",
+    "negatives",
+    "loss-hops",
+];
 
-impl Args {
-    /// Parses a flat option list; each option is either `--key value` or
-    /// `--key=value`. Unknown positional arguments abort.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut values = HashMap::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = &argv[i];
-            if let Some(name) = key.strip_prefix("--") {
-                if let Some((k, v)) = name.split_once('=') {
-                    if k.is_empty() {
-                        return Err(format!("malformed option '{key}'"));
-                    }
-                    values.insert(k.to_string(), v.to_string());
-                    i += 1;
-                } else {
-                    let value = argv
-                        .get(i + 1)
-                        .ok_or_else(|| format!("--{name} expects a value"))?;
-                    values.insert(name.to_string(), value.clone());
-                    i += 2;
-                }
-            } else {
-                return Err(format!("unexpected argument '{key}'"));
-            }
-        }
-        Ok(Args { values })
-    }
+/// Flags of `commands::ivf_for_store`, shared by `query` and `serve-bench`.
+pub const IVF: &[&str] = &[
+    "index-path",
+    "nprobe",
+    "nlist",
+    "train-sample",
+    "kmeans-iters",
+    "index-seed",
+];
 
-    /// String option with default.
-    pub fn get(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    }
-
-    /// Parsed numeric/typed option with default.
-    pub fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value '{v}' for --{key}")),
-        }
-    }
+/// Parses `argv` against the union of the flag `groups`; every CLI flag
+/// takes a value, as `--flag value` or `--flag=value`.
+pub fn parse(argv: &[String], groups: &[&[&'static str]]) -> Result<Flags, FlagError> {
+    groups
+        .iter()
+        .flat_map(|group| group.iter())
+        .fold(FlagSet::default(), |set, name| set.valued(name))
+        .parse(argv)
 }
 
 #[cfg(test)]
@@ -66,38 +53,41 @@ mod tests {
 
     #[test]
     fn parses_pairs_with_defaults() {
-        let a = Args::parse(&argv(&["--dataset", "cora-sim", "--epochs", "5"])).unwrap();
+        let a = parse(
+            &argv(&["--dataset", "cora-sim", "--epochs", "5"]),
+            &[COMMON],
+        )
+        .unwrap();
         assert_eq!(a.get("dataset", "x"), "cora-sim");
-        assert_eq!(a.get("missing", "fallback"), "fallback");
+        assert_eq!(a.get("model", "fallback"), "fallback");
         assert_eq!(a.get_parse("epochs", 0usize).unwrap(), 5);
         assert_eq!(a.get_parse("seed", 7u64).unwrap(), 7);
     }
 
     #[test]
     fn parses_equals_syntax_and_mixes() {
-        let a = Args::parse(&argv(&[
-            "--dataset=cora-sim",
-            "--epochs",
-            "5",
-            "--scale=0.1",
-        ]))
+        let a = parse(
+            &argv(&["--dataset=cora-sim", "--epochs", "5", "--scale=0.1"]),
+            &[COMMON],
+        )
         .unwrap();
         assert_eq!(a.get("dataset", "x"), "cora-sim");
         assert_eq!(a.get_parse("epochs", 0usize).unwrap(), 5);
         assert_eq!(a.get_parse("scale", 0.0f64).unwrap(), 0.1);
         // Values may themselves contain '=' (only the first splits).
-        let b = Args::parse(&argv(&["--expr=a=b"])).unwrap();
-        assert_eq!(b.get("expr", ""), "a=b");
+        let b = parse(&argv(&["--checkpoint=run=1.ckpt"]), &[COMMON]).unwrap();
+        assert_eq!(b.get("checkpoint", ""), "run=1.ckpt");
         // An explicitly empty value is allowed with '='.
-        let c = Args::parse(&argv(&["--out="])).unwrap();
+        let c = parse(&argv(&["--out="]), &[COMMON, &["out"]]).unwrap();
         assert_eq!(c.get("out", "default"), "");
     }
 
     #[test]
     fn rejects_malformed() {
-        assert!(Args::parse(&argv(&["positional"])).is_err());
-        assert!(Args::parse(&argv(&["--flag"])).is_err());
-        let a = Args::parse(&argv(&["--epochs", "abc"])).unwrap();
+        assert!(parse(&argv(&["positional"]), &[COMMON]).is_err());
+        assert!(parse(&argv(&["--dataset"]), &[COMMON]).is_err());
+        assert!(parse(&argv(&["--flag", "1"]), &[COMMON]).is_err());
+        let a = parse(&argv(&["--epochs", "abc"]), &[COMMON]).unwrap();
         assert!(a.get_parse("epochs", 0usize).is_err());
     }
 }

@@ -1,15 +1,14 @@
 //! CLI subcommand implementations.
+//!
+//! Each command declares the flags it accepts and parses its arguments
+//! with [`crate::args::parse`], so a misspelled flag is a usage error
+//! (exit 2) naming the accepted set instead of being silently ignored.
 
-use crate::args::Args;
-use e2gcl::models::adgcl::AdgclModel;
-use e2gcl::models::bgrl::{AfgrlModel, BgrlModel};
-use e2gcl::models::dgi::DgiModel;
-use e2gcl::models::gae::{GaeModel, VgaeModel};
-use e2gcl::models::grace::GraceModel;
-use e2gcl::models::mvgrl::MvgrlModel;
-use e2gcl::models::walks::WalkModel;
+use crate::args::{parse, COMMON, IVF};
 use e2gcl::prelude::*;
-use e2gcl_datasets::registry;
+use e2gcl_bench::flags::Flags;
+use e2gcl_bench::registry;
+use e2gcl_datasets::registry::all_node_specs;
 use e2gcl_selector::greedy::GreedySelector;
 use e2gcl_selector::NodeSelector;
 use e2gcl_serve::{
@@ -19,7 +18,11 @@ use e2gcl_serve::{
 };
 use e2gcl_views::{ViewConfig, ViewGenerator};
 use serde::Serialize;
+use std::error::Error;
 use std::path::Path;
+
+/// A command's outcome; any error is reported as a usage error (exit 2).
+type CliResult<T> = Result<T, Box<dyn Error>>;
 
 /// `e2gcl datasets`
 pub fn datasets() -> i32 {
@@ -27,7 +30,7 @@ pub fn datasets() -> i32 {
         "{:<14} {:>9} {:>12} {:>8} {:>9} {:>8}   stands in for",
         "name", "nodes", "edges", "degree", "features", "classes"
     );
-    for s in registry::all_node_specs() {
+    for s in all_node_specs() {
         println!(
             "{:<14} {:>9} {:>12} {:>8.2} {:>9} {:>8}   {}",
             s.name,
@@ -46,29 +49,6 @@ pub fn datasets() -> i32 {
     0
 }
 
-fn build_model(name: &str) -> Result<Box<dyn ContrastiveModel>, String> {
-    Ok(match name {
-        "E2GCL" => Box::new(E2gclModel::default()) as Box<dyn ContrastiveModel>,
-        "GRACE" => Box::new(GraceModel::grace()),
-        "GCA" => Box::new(GraceModel::gca()),
-        "MVGRL" => Box::new(MvgrlModel::default()),
-        "BGRL" => Box::new(BgrlModel::default()),
-        "AFGRL" => Box::new(AfgrlModel::default()),
-        "DGI" => Box::new(DgiModel),
-        "GAE" => Box::new(GaeModel),
-        "VGAE" => Box::new(VgaeModel::default()),
-        "ADGCL" => Box::new(AdgclModel::default()),
-        "DW" => Box::new(WalkModel::deepwalk()),
-        "N2V" => Box::new(WalkModel::node2vec()),
-        other => {
-            return Err(format!(
-                "unknown model '{other}'; valid models: E2GCL, GRACE, GCA, \
-                 MVGRL, BGRL, AFGRL, DGI, GAE, VGAE, ADGCL, DW, N2V"
-            ))
-        }
-    })
-}
-
 struct Common {
     data: NodeDataset,
     model: Box<dyn ContrastiveModel>,
@@ -77,22 +57,21 @@ struct Common {
     scale: f64,
 }
 
-fn common(args: &Args) -> Result<Common, String> {
+fn common(args: &Flags) -> CliResult<Common> {
     let dataset = args.get("dataset", "cora-sim");
     let scale: f64 = args.get_parse("scale", 0.25)?;
     if !scale.is_finite() || scale <= 0.0 {
-        return Err(format!("--scale must be finite and > 0, got {scale}"));
+        return Err(format!("--scale must be finite and > 0, got {scale}").into());
     }
     let seed: u64 = args.get_parse("seed", 0)?;
     let epochs: usize = args.get_parse("epochs", 30)?;
-    let data_spec = spec(&dataset).map_err(|e| e.to_string())?;
-    let data = NodeDataset::generate(&data_spec, scale, seed);
-    let model = build_model(&args.get("model", "E2GCL"))?;
+    let data = NodeDataset::generate(&spec(&dataset)?, scale, seed);
+    let model = registry::model(&args.get("model", "E2GCL"))?;
     let checkpoint = args.get("checkpoint", "");
     let checkpoint_every: usize = args.get_parse("checkpoint-every", 5)?;
     let resume: bool = args.get_parse("resume", false)?;
     if resume && checkpoint.is_empty() {
-        return Err("--resume true requires --checkpoint <path>".to_string());
+        return Err("--resume true requires --checkpoint <path>".into());
     }
     let durable = if checkpoint.is_empty() {
         None
@@ -122,7 +101,8 @@ fn common(args: &Args) -> Result<Common, String> {
             return Err(format!(
                 "unknown --loss '{other}'; valid strategies: full, smallneg, localized \
                  (smallneg takes --negatives, localized takes --loss-hops)"
-            ))
+            )
+            .into())
         }
     };
     let cfg = TrainConfig {
@@ -132,7 +112,7 @@ fn common(args: &Args) -> Result<Common, String> {
         loss,
         ..TrainConfig::default()
     };
-    cfg.validate().map_err(|e| e.to_string())?;
+    cfg.validate()?;
     Ok(Common {
         data,
         model,
@@ -145,16 +125,13 @@ fn common(args: &Args) -> Result<Common, String> {
 /// Pre-trains `c.model` and packages the frozen encoder + embeddings as a
 /// saveable [`Artifact`]. Fails for models that do not expose an encoder
 /// (e.g. random-walk baselines).
-fn train_artifact(c: &Common) -> Result<Artifact, String> {
-    let out = c
-        .model
-        .pretrain(
-            &c.data.graph,
-            &c.data.features,
-            &c.cfg,
-            &mut SeedRng::new(c.seed),
-        )
-        .map_err(|e| e.to_string())?;
+fn train_artifact(c: &Common) -> CliResult<Artifact> {
+    let out = c.model.pretrain(
+        &c.data.graph,
+        &c.data.features,
+        &c.cfg,
+        &mut SeedRng::new(c.seed),
+    )?;
     let encoder = out.encoder.ok_or_else(|| {
         format!(
             "model {} does not expose a frozen encoder; artifact saving \
@@ -178,12 +155,15 @@ fn train_artifact(c: &Common) -> Result<Artifact, String> {
 /// Regenerates the dataset an artifact was trained on (datasets are
 /// deterministic in `(spec, scale, seed)`, so the artifact only stores the
 /// recipe, not the graph).
-fn dataset_of(meta: &ArtifactMeta) -> Result<NodeDataset, String> {
-    let data_spec = spec(&meta.dataset).map_err(|e| e.to_string())?;
-    Ok(NodeDataset::generate(&data_spec, meta.scale, meta.seed))
+fn dataset_of(meta: &ArtifactMeta) -> CliResult<NodeDataset> {
+    Ok(NodeDataset::generate(
+        &spec(&meta.dataset)?,
+        meta.scale,
+        meta.seed,
+    ))
 }
 
-fn run_or_usage(result: Result<i32, String>) -> i32 {
+fn run_or_usage(result: CliResult<i32>) -> i32 {
     match result {
         Ok(code) => code,
         Err(e) => {
@@ -196,7 +176,7 @@ fn run_or_usage(result: Result<i32, String>) -> i32 {
 /// `e2gcl pretrain`
 pub fn pretrain(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[COMMON, &["out"]])?;
         let c = common(&args)?;
         let out_path = args.get("out", "embeddings.json");
         eprintln!(
@@ -206,15 +186,12 @@ pub fn pretrain(argv: &[String]) -> i32 {
             c.data.num_nodes(),
             c.data.graph.num_edges()
         );
-        let out = c
-            .model
-            .pretrain(
-                &c.data.graph,
-                &c.data.features,
-                &c.cfg,
-                &mut SeedRng::new(c.seed),
-            )
-            .map_err(|e| e.to_string())?;
+        let out = c.model.pretrain(
+            &c.data.graph,
+            &c.data.features,
+            &c.cfg,
+            &mut SeedRng::new(c.seed),
+        )?;
         #[derive(Serialize)]
         struct Dump {
             model: String,
@@ -254,7 +231,7 @@ pub fn pretrain(argv: &[String]) -> i32 {
 /// `e2gcl evaluate`
 pub fn evaluate(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[COMMON, &["runs"]])?;
         let c = common(&args)?;
         let runs: usize = args.get_parse("runs", 5)?;
         let run = e2gcl::pipeline::run_node_classification(
@@ -263,8 +240,7 @@ pub fn evaluate(argv: &[String]) -> i32 {
             &c.cfg,
             runs,
             c.seed,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         println!(
             "{} on {}: {:.2} ± {:.2} % over {} successful runs \
              (selection {:.2}s, total {:.2}s per run)",
@@ -280,7 +256,7 @@ pub fn evaluate(argv: &[String]) -> i32 {
             eprintln!("run with seed {seed} failed: {err}");
         }
         if run.accuracies.is_empty() {
-            return Err("every run failed".to_string());
+            return Err("every run failed".into());
         }
         Ok(0)
     })())
@@ -289,7 +265,7 @@ pub fn evaluate(argv: &[String]) -> i32 {
 /// `e2gcl select`
 pub fn select(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[COMMON, &["ratio"]])?;
         let c = common(&args)?;
         let ratio: f64 = args.get_parse("ratio", 0.4)?;
         let budget = ((c.data.num_nodes() as f64) * ratio).round() as usize;
@@ -327,7 +303,7 @@ pub fn select(argv: &[String]) -> i32 {
 /// `e2gcl linkpred`
 pub fn linkpred(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[COMMON])?;
         let c = common(&args)?;
         let mut rng = SeedRng::new(c.seed);
         let split = e2gcl_datasets::split::EdgeSplit::random(&c.data.graph, &mut rng.fork("split"));
@@ -339,8 +315,7 @@ pub fn linkpred(argv: &[String]) -> i32 {
         );
         let out = c
             .model
-            .pretrain(&split.train_graph, &c.data.features, &c.cfg, &mut rng)
-            .map_err(|e| e.to_string())?;
+            .pretrain(&split.train_graph, &c.data.features, &c.cfg, &mut rng)?;
         let acc = e2gcl::eval::link_prediction_accuracy(&out.embeddings, &split, c.seed);
         println!(
             "{} on {}: link-prediction accuracy {:.2} % ({} test edges)",
@@ -356,27 +331,28 @@ pub fn linkpred(argv: &[String]) -> i32 {
 /// `e2gcl graphcls`
 pub fn graphcls(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(
+            argv,
+            &[&["dataset", "scale", "seed", "epochs", "runs", "model"]],
+        )?;
         let dataset = args.get("dataset", "nci1-sim");
         let scale: f64 = args.get_parse("scale", 0.25)?;
         if !scale.is_finite() || scale <= 0.0 {
-            return Err(format!("--scale must be finite and > 0, got {scale}"));
+            return Err(format!("--scale must be finite and > 0, got {scale}").into());
         }
         let seed: u64 = args.get_parse("seed", 0)?;
         let epochs: usize = args.get_parse("epochs", 30)?;
         let runs: usize = args.get_parse("runs", 3)?;
-        let g_spec =
-            e2gcl_datasets::graph_dataset::graph_spec(&dataset).map_err(|e| e.to_string())?;
+        let g_spec = e2gcl_datasets::graph_dataset::graph_spec(&dataset)?;
         let data = e2gcl_datasets::GraphDataset::generate(&g_spec, scale, seed);
-        let model = build_model(&args.get("model", "E2GCL"))?;
+        let model = registry::model(&args.get("model", "E2GCL"))?;
         let cfg = TrainConfig {
             epochs,
             ..TrainConfig::default()
         };
-        cfg.validate().map_err(|e| e.to_string())?;
+        cfg.validate()?;
         let run =
-            e2gcl::pipeline::run_graph_classification(model.as_ref(), &data, &cfg, runs, seed)
-                .map_err(|e| e.to_string())?;
+            e2gcl::pipeline::run_graph_classification(model.as_ref(), &data, &cfg, runs, seed)?;
         println!(
             "{} on {} ({} graphs): {:.2} ± {:.2} %",
             model.name(),
@@ -395,7 +371,7 @@ pub fn graphcls(argv: &[String]) -> i32 {
 /// `e2gcl view`
 pub fn view(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[COMMON, &["node", "tau", "eta"]])?;
         let c = common(&args)?;
         let node: usize = args.get_parse("node", 0)?;
         let tau: f32 = args.get_parse("tau", 1.0)?;
@@ -404,7 +380,8 @@ pub fn view(argv: &[String]) -> i32 {
             return Err(format!(
                 "--node {node} out of range (dataset has {} nodes)",
                 c.data.num_nodes()
-            ));
+            )
+            .into());
         }
         let generator = ViewGenerator::new(
             &c.data.graph,
@@ -438,7 +415,7 @@ pub fn view(argv: &[String]) -> i32 {
 /// `e2gcl train`
 pub fn train(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[COMMON, &["save", "fault-torn-write"]])?;
         let c = common(&args)?;
         let save_path = args.get("save", "model.e2gcl");
         let torn_keep: usize = args.get_parse("fault-torn-write", 0)?;
@@ -451,16 +428,13 @@ pub fn train(argv: &[String]) -> i32 {
         );
         let artifact = train_artifact(&c)?;
         if torn_keep > 0 {
-            artifact
-                .save_torn(Path::new(&save_path), torn_keep)
-                .map_err(|e| e.to_string())?;
+            artifact.save_torn(Path::new(&save_path), torn_keep)?;
             return Err(format!(
                 "simulated crash: torn artifact write left {torn_keep} bytes at {save_path}"
-            ));
+            )
+            .into());
         }
-        artifact
-            .save(Path::new(&save_path))
-            .map_err(|e| e.to_string())?;
+        artifact.save(Path::new(&save_path))?;
         let bytes = std::fs::metadata(&save_path).map(|m| m.len()).unwrap_or(0);
         println!(
             "saved artifact to {save_path}: {} encoder, {} x {} embeddings, {} params, {bytes} bytes",
@@ -480,19 +454,19 @@ pub fn train(argv: &[String]) -> i32 {
 
 /// Loads an artifact; errors name the file kind ("artifact quarantined to
 /// …", "artifact io error: …").
-fn load_artifact(path: &str) -> Result<Artifact, String> {
-    Artifact::load(Path::new(path)).map_err(|e| format!("artifact {e}"))
+fn load_artifact(path: &str) -> CliResult<Artifact> {
+    Artifact::load(Path::new(path)).map_err(|e| format!("artifact {e}").into())
 }
 
 /// Builds (or loads and validates) an IVF index for `store` from the
 /// shared `--nlist` / `--nprobe` / `--train-sample` / `--kmeans-iters` /
 /// `--index-seed` / `--index-path` flags.
-fn ivf_for_store(args: &Args, store: &EmbeddingStore, seed: u64) -> Result<IvfIndex, String> {
+fn ivf_for_store(args: &Flags, store: &EmbeddingStore, seed: u64) -> CliResult<IvfIndex> {
     let index_path = args.get("index-path", "");
     let nprobe: usize = args.get_parse("nprobe", 0)?; // 0 = keep index default
     let mut index = if !index_path.is_empty() && Path::new(&index_path).exists() {
         let mut ix = IvfIndex::load(Path::new(&index_path)).map_err(|e| format!("index {e}"))?;
-        ix.pack(store).map_err(|e| e.to_string())?;
+        ix.pack(store)?;
         eprintln!("loaded ivf index from {index_path}: {} lists", ix.nlist());
         ix
     } else {
@@ -505,7 +479,7 @@ fn ivf_for_store(args: &Args, store: &EmbeddingStore, seed: u64) -> Result<IvfIn
             seed: args.get_parse("index-seed", seed)?,
         };
         let t0 = std::time::Instant::now();
-        let ix = IvfIndex::build(store, cfg).map_err(|e| e.to_string())?;
+        let ix = IvfIndex::build(store, cfg)?;
         eprintln!(
             "built ivf index: {} lists over {} rows in {:.2}s",
             ix.nlist(),
@@ -513,7 +487,7 @@ fn ivf_for_store(args: &Args, store: &EmbeddingStore, seed: u64) -> Result<IvfIn
             t0.elapsed().as_secs_f64()
         );
         if !index_path.is_empty() {
-            ix.save(Path::new(&index_path)).map_err(|e| e.to_string())?;
+            ix.save(Path::new(&index_path))?;
             eprintln!("saved ivf index to {index_path}");
         }
         ix
@@ -527,7 +501,7 @@ fn ivf_for_store(args: &Args, store: &EmbeddingStore, seed: u64) -> Result<IvfIn
 /// `e2gcl query`
 pub fn query(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[IVF, &["artifact", "node", "k", "mode", "index"]])?;
         let path = args.get("artifact", "model.e2gcl");
         let node: usize = args.get_parse("node", 0)?;
         let k: usize = args.get_parse("k", 10)?;
@@ -545,18 +519,17 @@ pub fn query(argv: &[String]) -> i32 {
         );
         let store = EmbeddingStore::new(artifact.embeddings.clone());
         let q: Vec<f32> = match mode.as_str() {
-            "stored" => store.embedding(node).map_err(|e| e.to_string())?.to_vec(),
+            "stored" => store.embedding(node)?.to_vec(),
             "inductive" => {
                 let data = dataset_of(&artifact.meta)?;
                 let engine =
-                    InductiveEngine::new(artifact.encoder.clone(), data.graph, data.features)
-                        .map_err(|e| e.to_string())?;
-                engine.embed_node(node).map_err(|e| e.to_string())?
+                    InductiveEngine::new(artifact.encoder.clone(), data.graph, data.features)?;
+                engine.embed_node(node)?
             }
-            other => return Err(format!("unknown --mode '{other}' (stored | inductive)")),
+            other => return Err(format!("unknown --mode '{other}' (stored | inductive)").into()),
         };
         let hits = match index_kind.as_str() {
-            "none" => store.top_k(&q, k).map_err(|e| e.to_string())?,
+            "none" => store.top_k(&q, k)?,
             "ivf" => {
                 let index = ivf_for_store(&args, &store, artifact.meta.seed)?;
                 eprintln!(
@@ -564,12 +537,12 @@ pub fn query(argv: &[String]) -> i32 {
                     index.nlist(),
                     index.nprobe()
                 );
-                index.search(&store, &q, k).map_err(|e| e.to_string())?
+                index.search(&store, &q, k)?
             }
-            other => return Err(format!("unknown --index '{other}' (none | ivf)")),
+            other => return Err(format!("unknown --index '{other}' (none | ivf)").into()),
         };
         if hits.is_empty() {
-            return Err("store returned no hits".to_string());
+            return Err("store returned no hits".into());
         }
         println!("top-{k} cosine neighbours of node {node} ({mode} embedding):");
         for (rank, (u, score)) in hits.iter().enumerate() {
@@ -582,7 +555,20 @@ pub fn query(argv: &[String]) -> i32 {
 /// `e2gcl build-index`
 pub fn build_index(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(
+            argv,
+            &[&[
+                "artifact",
+                "out",
+                "recall-k",
+                "recall-queries",
+                "nlist",
+                "nprobe",
+                "train-sample",
+                "kmeans-iters",
+                "index-seed",
+            ]],
+        )?;
         let path = args.get("artifact", "model.e2gcl");
         let out = args.get("out", "model.ivf");
         let recall_k: usize = args.get_parse("recall-k", 10)?;
@@ -598,16 +584,14 @@ pub fn build_index(argv: &[String]) -> i32 {
             seed: args.get_parse("index-seed", artifact.meta.seed)?,
         };
         let t0 = std::time::Instant::now();
-        let index = IvfIndex::build(&store, cfg).map_err(|e| e.to_string())?;
+        let index = IvfIndex::build(&store, cfg)?;
         let build_secs = t0.elapsed().as_secs_f64();
         // Evenly spaced stored rows make a deterministic recall probe the
         // CI gate can threshold on.
         let m = recall_queries.min(store.len()).max(1);
         let queries: Vec<usize> = (0..m).map(|i| i * store.len() / m).collect();
-        let recall = index
-            .measure_recall(&store, &queries, recall_k)
-            .map_err(|e| e.to_string())?;
-        index.save(Path::new(&out)).map_err(|e| e.to_string())?;
+        let recall = index.measure_recall(&store, &queries, recall_k)?;
+        index.save(Path::new(&out))?;
         let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
         println!(
             "built ivf index over {} x {} rows: {} lists, nprobe {}, \
@@ -646,7 +630,29 @@ struct ServeBenchDump {
 /// `e2gcl serve-bench`
 pub fn serve_bench(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(
+            argv,
+            &[
+                COMMON,
+                IVF,
+                &[
+                    "artifact",
+                    "rounds",
+                    "k",
+                    "json",
+                    "burst",
+                    "overload-rounds",
+                    "queue-cap",
+                    "deadline-us",
+                    "inductive-fail-every",
+                    "index",
+                    "target-qps",
+                    "loadgen-requests",
+                    "max-batch",
+                    "max-wait-us",
+                ],
+            ],
+        )?;
         let path = args.get("artifact", "");
         let rounds: usize = args.get_parse("rounds", 50)?;
         let k: usize = args.get_parse("k", 10)?;
@@ -676,17 +682,16 @@ pub fn serve_bench(argv: &[String]) -> i32 {
             (artifact, data)
         };
         let mut server =
-            BatchServer::from_artifact(&artifact, data.graph.clone(), data.features.clone())
-                .map_err(|e| e.to_string())?;
+            BatchServer::from_artifact(&artifact, data.graph.clone(), data.features.clone())?;
         let index_cfg = match index_kind.as_str() {
             "none" => None,
             "ivf" => {
                 let index = ivf_for_store(&args, server.store(), artifact.meta.seed)?;
                 let cfg = index.config();
-                server = server.with_index(index).map_err(|e| e.to_string())?;
+                server = server.with_index(index)?;
                 Some(cfg)
             }
-            other => return Err(format!("unknown --index '{other}' (none | ivf)")),
+            other => return Err(format!("unknown --index '{other}' (none | ivf)").into()),
         };
         let opts = BenchOptions {
             rounds,
@@ -725,8 +730,7 @@ pub fn serve_bench(argv: &[String]) -> i32 {
             inductive_fail_attempts: 0,
             ..ServeFaultPlan::default()
         };
-        let mut overload_server = BatchServer::from_artifact(&artifact, data.graph, data.features)
-            .map_err(|e| e.to_string())?
+        let mut overload_server = BatchServer::from_artifact(&artifact, data.graph, data.features)?
             .with_runtime(runtime)
             .with_fault_plan(plan);
         let overload_opts = OverloadOptions {
@@ -820,7 +824,7 @@ pub fn serve_bench(argv: &[String]) -> i32 {
 /// the autotuner and persists the winning configuration to `<path>`.
 pub fn kernels(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = Args::parse(argv)?;
+        let args = parse(argv, &[&["tune"]])?;
         use e2gcl_linalg::{dispatch, tune};
         println!(
             "cpu features:  [{}]",
@@ -862,4 +866,28 @@ pub fn kernels(argv: &[String]) -> i32 {
         );
         Ok(0)
     })())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &str) -> Vec<String> {
+        args.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn misspelled_flags_are_usage_errors_naming_the_accepted_set() {
+        assert_eq!(select(&argv("--scale 0.05 --ratoi 0.1")), 2);
+        assert_eq!(pretrain(&argv("--epoch 3")), 2);
+        assert_eq!(query(&argv("--artifact=model.e2gcl --nodes 5")), 2);
+        assert_eq!(kernels(&argv("--bench")), 2);
+        assert_eq!(select(&argv("--scale 0.05 --ratio 0.1")), 0);
+        let err = parse(&argv("--ratoi 0.1"), &[COMMON, &["ratio"]]).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("--ratio") && msg.contains("--loss-hops"),
+            "{msg}"
+        );
+    }
 }

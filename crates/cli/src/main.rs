@@ -13,7 +13,8 @@
 //! e2gcl kernels [--tune kernel_tune.json]      kernel dispatch state / autotuner
 //! ```
 //!
-//! Options accept both `--flag value` and `--flag=value`.
+//! Options accept both `--flag value` and `--flag=value`; an option a
+//! command does not accept is a usage error (exit 2).
 
 mod args;
 mod commands;
@@ -82,7 +83,10 @@ ENVIRONMENT:
                          the dense-kernel dispatch path; unset probes
                          ./kernel_tune.json, else detected defaults
 
-COMMON OPTIONS (accepted as `--flag value` or `--flag=value`):
+Options are `--flag value` or `--flag=value`; a flag the command does not
+accept is a usage error (exit 2) that lists the accepted flags.
+
+COMMON OPTIONS (pretrain, evaluate, select, view, linkpred, train, serve-bench):
     --dataset <name>     dataset analog (default cora-sim; see `e2gcl datasets`)
     --scale <f64>        fraction of the analog's full size (default 0.25)
     --model <name>       E2GCL | GRACE | GCA | MVGRL | BGRL | AFGRL | DGI |
@@ -117,8 +121,9 @@ VIEW:
     --tau <f32>          neighbour sampling ratio (default 1.0)
     --eta <f32>          feature perturbation scale (default 0.6)
 
-GRAPHCLS:
+GRAPHCLS (also --scale, --model, --epochs, --seed):
     --dataset <name>     nci1-sim | ptcmr-sim | proteins-sim (default nci1-sim)
+    --runs <n>           probe repetitions (default 3)
 
 TRAIN:
     --save <path>        artifact output path (default model.e2gcl)
@@ -136,7 +141,9 @@ QUERY:
     --nprobe <n>         ivf: inverted lists scanned per query, 0 = index
                          default (default 0)
     --index-path <path>  ivf: load the index from <path> if it exists,
-                         otherwise build and save it there
+                         otherwise build and save it there (a build takes
+                         the BUILD-INDEX --nlist, --train-sample,
+                         --kmeans-iters and --index-seed flags)
 
 BUILD-INDEX:
     --artifact <path>    artifact whose embeddings to index (default model.e2gcl)

@@ -73,15 +73,6 @@ pub fn all_node_specs() -> Vec<DatasetSpec> {
         .collect()
 }
 
-/// The five small datasets used in Tables IV and VI–VIII.
-pub fn small_node_specs() -> Vec<DatasetSpec> {
-    names()
-        .iter()
-        .take(5)
-        .map(|n| spec(n).expect("registry names are exhaustive"))
-        .collect()
-}
-
 /// Looks up an analog spec by name.
 ///
 /// Unknown names return [`TrainError::UnknownDataset`] carrying the valid
@@ -285,14 +276,6 @@ mod tests {
             assert!((0.0..0.5).contains(&s.label_noise));
             assert!((0.0..=1.0).contains(&s.class_confusion));
         }
-    }
-
-    #[test]
-    fn small_specs_are_first_five() {
-        let small = small_node_specs();
-        assert_eq!(small.len(), 5);
-        assert_eq!(small[0].name, "cora-sim");
-        assert_eq!(small[4].name, "cs-sim");
     }
 
     #[test]

@@ -13,6 +13,14 @@
 //! changes land in every model at once, and a model physically cannot
 //! forget to route its update through the guard.
 //!
+//! The driver also owns the run: its clock starts when it is built, so a
+//! model builds it where its setup begins, and [`EpochDriver::run`]
+//! returns the finished [`PretrainResult`] — embeddings, loss curve,
+//! checkpoints stamped from that clock, the frozen encoder and
+//! `total_time`. The only timing a model does is E²GCL marking where node
+//! selection ended ([`EpochDriver::selection_done`]), which becomes
+//! `selection_time` (`ST` of Table V).
+//!
 //! The split is engineered to be bit-identical to the loops it replaced:
 //! the driver performs the exact sequence the models did —
 //! `corrupt_loss → corrupt_gradients → grads scan → inspect → clip →
@@ -22,10 +30,11 @@
 use crate::checkpoint::{config_fingerprint, StepState, TrainCheckpoint};
 use crate::config::TrainConfig;
 use crate::guard::{FaultPlan, GuardAction, NumericGuard};
+use crate::models::PretrainResult;
 use e2gcl_linalg::{Matrix, TrainError};
-use e2gcl_nn::optim;
+use e2gcl_nn::{optim, FrozenEncoder};
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Everything an [`EpochStep`] may use while computing one epoch.
 pub struct EpochCtx<'a> {
@@ -111,6 +120,13 @@ pub trait EpochStep {
     /// final result.
     fn embed(&mut self) -> Matrix;
 
+    /// The trained encoder, frozen for serving, for the final result.
+    /// `None` — the default — for models whose encoder is not a servable
+    /// GCN-family forward pass.
+    fn frozen_encoder(&self) -> Option<FrozenEncoder> {
+        None
+    }
+
     /// Base learning rate before guard backoff scaling. Defaults to the
     /// shared `cfg.lr`; the walk models train with their own.
     fn base_lr(&self, cfg: &TrainConfig) -> f32 {
@@ -146,47 +162,46 @@ pub trait EpochStep {
     }
 }
 
-/// The training half of a [`crate::models::PretrainResult`], produced by
-/// [`EpochDriver::run`]. The caller adds its own timing bookkeeping.
-#[derive(Debug)]
-pub struct EngineRun {
-    /// Final embeddings ([`EpochStep::embed`] after the last epoch).
-    pub embeddings: Matrix,
-    /// One recorded loss per non-silent epoch.
-    pub loss_curve: Vec<f32>,
-    /// `(seconds since `start`, embeddings)` checkpoints.
-    pub checkpoints: Vec<(f64, Matrix)>,
-}
-
-/// Owns the epoch loop shared by every model: guard, fault plan, loss
-/// curve and checkpoint schedule.
+/// Owns one training run: its clock, and the epoch loop shared by every
+/// model — guard, fault plan, loss curve and checkpoint schedule.
 pub struct EpochDriver<'a> {
     cfg: &'a TrainConfig,
     guard: NumericGuard,
     fault: FaultPlan,
+    start: Instant,
+    selection_time: Duration,
 }
 
 impl<'a> EpochDriver<'a> {
-    /// A fresh driver for one training run. This is the single production
+    /// A fresh driver for one training run; the run clock starts here, so
+    /// build it before the model's setup. This is the single production
     /// call site of [`NumericGuard::new`].
     pub fn new(cfg: &'a TrainConfig) -> Self {
         Self {
             cfg,
             guard: NumericGuard::new(&cfg.guard),
             fault: cfg.fault.clone().unwrap_or_default(),
+            start: Instant::now(),
+            selection_time: Duration::ZERO,
         }
     }
 
-    /// Drives `step` for `cfg.epochs` epochs. `start` is the caller's
-    /// run-start instant (checkpoint timestamps are measured from it, so
-    /// they include the caller's setup work, as before).
+    /// Marks the end of node selection: the run's `selection_time` is the
+    /// clock's reading now. Models that train on all nodes never call it
+    /// and report zero.
+    pub fn selection_done(&mut self) {
+        self.selection_time = self.start.elapsed();
+    }
+
+    /// Drives `step` for `cfg.epochs` epochs and packages the run.
+    /// Checkpoint timestamps and `total_time` are read from the driver's
+    /// clock, so they include the model's setup work.
     ///
     /// This is the single production call site of [`NumericGuard::inspect`].
     pub fn run<S: EpochStep + ?Sized>(
         mut self,
         step: &mut S,
-        start: Instant,
-    ) -> Result<EngineRun, TrainError> {
+    ) -> Result<PretrainResult, TrainError> {
         let cfg = self.cfg;
         let mut loss_curve = Vec::with_capacity(cfg.epochs);
         let mut checkpoints = Vec::new();
@@ -242,7 +257,7 @@ impl<'a> EpochDriver<'a> {
                     loss_curve.push(loss);
                     if let Some(every) = cfg.checkpoint_every {
                         if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
-                            checkpoints.push((start.elapsed().as_secs_f64(), step.embed()));
+                            checkpoints.push((self.start.elapsed().as_secs_f64(), step.embed()));
                         }
                     }
                     if let Some(d) = cfg.durable.as_ref() {
@@ -277,10 +292,13 @@ impl<'a> EpochDriver<'a> {
                 }
             }
         }
-        Ok(EngineRun {
+        Ok(PretrainResult {
             embeddings: step.embed(),
-            loss_curve,
+            encoder: step.frozen_encoder(),
+            selection_time: self.selection_time,
+            total_time: self.start.elapsed(),
             checkpoints,
+            loss_curve,
         })
     }
 }
@@ -346,13 +364,15 @@ mod tests {
     fn healthy_run_applies_every_epoch_and_checkpoints() {
         let cfg = cfg(5);
         let mut step = ToyStep::new();
-        let run = EpochDriver::new(&cfg)
-            .run(&mut step, Instant::now())
-            .unwrap();
+        let run = EpochDriver::new(&cfg).run(&mut step).unwrap();
         assert_eq!(step.applied, vec![0, 1, 2, 3, 4]);
         assert_eq!(run.loss_curve.len(), 5);
         // Epochs 2, 4 and the final epoch 5.
         assert_eq!(run.checkpoints.len(), 3);
+        // Every stamp comes from the driver's one clock.
+        let stamps: Vec<f64> = run.checkpoints.iter().map(|(t, _)| *t).collect();
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+        assert!(stamps[2] <= run.total_time.as_secs_f64());
         assert!(step.p < 4.0);
         assert_eq!(run.embeddings.get(0, 0), step.p);
     }
@@ -363,7 +383,7 @@ mod tests {
         cfg.fault = Some(FaultPlan::nan_loss(&[1]));
         cfg.guard.policy = GuardPolicy::Backoff { max_retries: 2 };
         let mut step = ToyStep::new();
-        let err = EpochDriver::new(&cfg).run(&mut step, Instant::now());
+        let err = EpochDriver::new(&cfg).run(&mut step);
         // The fault is epoch-keyed, so both retries re-hit it and the
         // budget exhausts.
         assert!(err.is_err());
@@ -376,9 +396,7 @@ mod tests {
         cfg.fault = Some(FaultPlan::nan_loss(&[1]));
         cfg.guard.policy = GuardPolicy::SkipEpoch;
         let mut step = ToyStep::new();
-        let run = EpochDriver::new(&cfg)
-            .run(&mut step, Instant::now())
-            .unwrap();
+        let run = EpochDriver::new(&cfg).run(&mut step).unwrap();
         assert_eq!(step.applied, vec![0, 2]);
         assert_eq!(run.loss_curve.len(), 3);
         assert!(run.loss_curve[1].is_nan());
@@ -390,9 +408,7 @@ mod tests {
         cfg.fault = Some(FaultPlan::nan_gradients(&[0]));
         cfg.guard.policy = GuardPolicy::SkipEpoch;
         let mut step = ToyStep::new();
-        let run = EpochDriver::new(&cfg)
-            .run(&mut step, Instant::now())
-            .unwrap();
+        let run = EpochDriver::new(&cfg).run(&mut step).unwrap();
         assert_eq!(step.applied, vec![1]);
         assert_eq!(run.loss_curve.len(), 2);
     }
@@ -421,9 +437,7 @@ mod tests {
         cfg.fault = Some(FaultPlan::nan_loss(&[1]));
         cfg.guard.policy = GuardPolicy::Backoff { max_retries: 5 };
         let mut step = NoDiscard(ToyStep::new());
-        let run = EpochDriver::new(&cfg)
-            .run(&mut step, Instant::now())
-            .unwrap();
+        let run = EpochDriver::new(&cfg).run(&mut step).unwrap();
         // The faulted epoch is recorded once and training moves on, with
         // the halved lr persisting for later epochs.
         assert_eq!(step.0.applied, vec![0, 2]);
@@ -447,9 +461,7 @@ mod tests {
             }
         }
         let cfg = cfg(10);
-        let run = EpochDriver::new(&cfg)
-            .run(&mut Stopper, Instant::now())
-            .unwrap();
+        let run = EpochDriver::new(&cfg).run(&mut Stopper).unwrap();
         assert!(run.loss_curve.is_empty());
         assert!(run.checkpoints.is_empty());
     }
@@ -459,9 +471,7 @@ mod tests {
         let mut cfg = cfg(1);
         cfg.guard.max_grad_norm = Some(1.0);
         let mut step = ToyStep::new();
-        EpochDriver::new(&cfg)
-            .run(&mut step, Instant::now())
-            .unwrap();
+        EpochDriver::new(&cfg).run(&mut step).unwrap();
         // Gradient was p = 4.0, clipped to norm 1.0 before apply.
         assert_eq!(step.p, 4.0 - step.lrs[0] * 1.0);
     }

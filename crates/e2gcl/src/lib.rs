@@ -30,9 +30,10 @@
 //! ## Crate map
 //!
 //! * [`config`] — shared training hyperparameters;
-//! * [`engine`] — the [`engine::EpochDriver`] epoch loop every model trains
-//!   through (numeric guard, fault injection, backoff, checkpoints, scratch
-//!   reuse); models implement [`engine::EpochStep`];
+//! * [`engine`] — the [`engine::EpochDriver`] every model trains through:
+//!   it owns the run clock and the epoch loop (numeric guard, fault
+//!   injection, backoff, checkpoints) and returns the finished
+//!   [`PretrainResult`]; models implement [`engine::EpochStep`];
 //! * [`models`] — [`models::ContrastiveModel`] implementations: E²GCL and
 //!   the GRACE / GCA / MVGRL / BGRL / AFGRL / DGI / GAE / VGAE / ADGCL /
 //!   DeepWalk / Node2Vec baselines;
@@ -57,7 +58,7 @@ pub mod pipeline;
 pub use checkpoint::{StepState, TrainCheckpoint};
 pub use config::{DurableConfig, MinibatchConfig, TrainConfig};
 pub use e2gcl_linalg::TrainError;
-pub use engine::{EngineRun, EpochCtx, EpochDriver, EpochOutcome, EpochStep};
+pub use engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
 pub use guard::{FaultPlan, GuardAction, GuardConfig, GuardPolicy, GuardState, NumericGuard};
 pub use models::{ContrastiveModel, PretrainResult};
 

@@ -19,7 +19,6 @@ use e2gcl_linalg::{activations, Matrix, SeedRng, TrainError};
 use e2gcl_nn::loss::InfoNceScratch;
 use e2gcl_nn::{loss, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace, Mlp, MlpWorkspace};
 use e2gcl_views::uniform;
-use std::time::Instant;
 
 /// ADGCL configuration.
 #[derive(Clone, Debug)]
@@ -82,9 +81,8 @@ impl ContrastiveModel for AdgclModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let edges: Vec<(usize, usize)> = g.edges().collect();
         // Augmenter state: per-edge drop logits, initialised to drop ~20%.
         let logits = vec![-1.4f32; edges.len()];
@@ -93,7 +91,7 @@ impl ContrastiveModel for AdgclModel {
         let head = Mlp::new(cfg.embed_dim, 32, 32, &mut rng.fork("head"));
         let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
         let train_rng = rng.fork("train");
-        let mut step = AdgclStep {
+        driver.run(&mut AdgclStep {
             config: &self.config,
             g,
             x,
@@ -117,14 +115,7 @@ impl ContrastiveModel for AdgclModel {
             d_h2: Matrix::default(),
             hb1: Matrix::default(),
             hb2: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 

@@ -15,7 +15,6 @@ use e2gcl_graph::{norm, CsrGraph, SparseMatrix};
 use e2gcl_linalg::{ops, Matrix, SeedRng, TrainError};
 use e2gcl_nn::{ema, loss, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace, Mlp, MlpWorkspace};
 use e2gcl_views::uniform;
-use std::time::Instant;
 
 /// Shared configuration of the bootstrap models.
 #[derive(Clone, Debug)]
@@ -85,9 +84,8 @@ impl ContrastiveModel for BgrlModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let adj_orig = norm::normalized_adjacency(g);
         let dims = cfg.encoder_dims(x.cols());
         let online = GcnEncoder::new(&dims, &mut rng.fork("online"));
@@ -100,7 +98,7 @@ impl ContrastiveModel for BgrlModel {
         );
         let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
         let train_rng = rng.fork("train");
-        let mut step = BgrlStep {
+        driver.run(&mut BgrlStep {
             config: &self.config,
             g,
             x,
@@ -117,14 +115,7 @@ impl ContrastiveModel for BgrlModel {
             pws2: MlpWorkspace::new(),
             dp1: Matrix::default(),
             dp2: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 
@@ -256,9 +247,8 @@ impl ContrastiveModel for AfgrlModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let adj = norm::normalized_adjacency(g);
         let dims = cfg.encoder_dims(x.cols());
         let online = GcnEncoder::new(&dims, &mut rng.fork("online"));
@@ -270,7 +260,7 @@ impl ContrastiveModel for AfgrlModel {
             &mut rng.fork("pred"),
         );
         let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let mut step = AfgrlStep {
+        driver.run(&mut AfgrlStep {
             config: &self.config,
             g,
             x,
@@ -283,14 +273,7 @@ impl ContrastiveModel for AfgrlModel {
             ws: GcnWorkspace::new(),
             pws: MlpWorkspace::new(),
             dp: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 

@@ -11,7 +11,6 @@ use e2gcl_graph::{norm, CsrGraph, SparseMatrix};
 use e2gcl_linalg::init;
 use e2gcl_linalg::{activations, ops, Matrix, SeedRng, TrainError};
 use e2gcl_nn::{loss, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace};
-use std::time::Instant;
 
 /// Bilinear discriminator `D(h, s) = h^T W s` shared by DGI and MVGRL.
 #[derive(Clone, Debug)]
@@ -145,16 +144,15 @@ impl ContrastiveModel for DgiModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let adj: SparseMatrix = norm::normalized_adjacency(g);
         let encoder = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("init"));
         let disc = BilinearDiscriminator::new(cfg.embed_dim, &mut rng.fork("disc"));
         let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
         let disc_opt = Adam::new(cfg.lr);
         let train_rng = rng.fork("train");
-        let mut step = DgiStep {
+        driver.run(&mut DgiStep {
             x,
             adj,
             encoder,
@@ -165,14 +163,7 @@ impl ContrastiveModel for DgiModel {
             ws_real: GcnWorkspace::new(),
             ws_corrupt: GcnWorkspace::new(),
             dw: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 

@@ -12,7 +12,6 @@ use e2gcl_datasets::split::sample_non_edges;
 use e2gcl_graph::{norm, CsrGraph, SparseMatrix};
 use e2gcl_linalg::{ops, Matrix, SeedRng, TrainError};
 use e2gcl_nn::{loss, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace};
-use std::time::Instant;
 
 /// Edges scored per epoch (positives; an equal number of negatives is
 /// sampled). Caps the decoder cost on dense graphs.
@@ -66,14 +65,13 @@ impl ContrastiveModel for GaeModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let adj = norm::normalized_adjacency(g);
         let encoder = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("init"));
         let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
         let train_rng = rng.fork("train");
-        let mut step = GaeStep {
+        driver.run(&mut GaeStep {
             g,
             x,
             adj,
@@ -81,14 +79,7 @@ impl ContrastiveModel for GaeModel {
             opt,
             train_rng,
             ws: GcnWorkspace::new(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 
@@ -159,9 +150,8 @@ impl ContrastiveModel for VgaeModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let adj = norm::normalized_adjacency(g);
         let d = cfg.embed_dim;
         // Encoder emits [μ | log σ²] side by side.
@@ -170,7 +160,7 @@ impl ContrastiveModel for VgaeModel {
         let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
         let train_rng = rng.fork("train");
         let n = g.num_nodes();
-        let mut step = VgaeStep {
+        driver.run(&mut VgaeStep {
             g,
             x,
             adj,
@@ -183,14 +173,7 @@ impl ContrastiveModel for VgaeModel {
             z: Matrix::default(),
             eps: Matrix::default(),
             d_out: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 

@@ -9,13 +9,13 @@
 //! view, which the paper shows improves every baseline it upgrades.
 
 use crate::config::TrainConfig;
+use crate::engine::EpochDriver;
 use crate::models::infonce::{InfoNceStep, Twin, ViewPair};
 use crate::models::{sampled_minibatch, ContrastiveModel, PretrainResult};
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
 use e2gcl_nn::{GcnEncoder, Mlp};
 use e2gcl_views::{scores::GraphScores, uniform};
-use std::time::{Duration, Instant};
 
 /// Configuration for GRACE and GCA.
 #[derive(Clone, Debug)]
@@ -164,7 +164,7 @@ impl ContrastiveModel for GraceModel {
                     .into(),
             ));
         }
-        let start = Instant::now();
+        let driver = EpochDriver::new(cfg);
         let gca = conf.adaptive.then(|| Gca {
             edge_probs: uniform::gca_edge_drop_probs(g, 1.0),
             feature_weights: GraphScores::compute(g, x).feature_global,
@@ -184,7 +184,7 @@ impl ContrastiveModel for GraceModel {
         };
         let twin = Twin::gcn(enc);
         let train_rng = rng.fork("train");
-        InfoNceStep::new(
+        driver.run(&mut InfoNceStep::new(
             g,
             x,
             cfg,
@@ -194,8 +194,7 @@ impl ContrastiveModel for GraceModel {
             None,
             conf.tau,
             train_rng,
-        )
-        .run(start, Duration::ZERO)
+        ))
     }
 }
 

@@ -29,10 +29,10 @@
 
 use crate::checkpoint::{restore_params, StepState};
 use crate::config::{LossStrategy, TrainConfig};
-use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
+use crate::engine::{EpochCtx, EpochOutcome, EpochStep};
 use crate::models::e2gcl_model::EncoderKind;
 use crate::models::{
-    sample_negative_indices, sampled_minibatch, select_negatives, shuffled_batches, PretrainResult,
+    sample_negative_indices, sampled_minibatch, select_negatives, shuffled_batches,
 };
 use e2gcl_graph::{norm, CsrGraph, NeighborSampler, SparseMatrix};
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
@@ -43,7 +43,6 @@ use e2gcl_nn::{
     GcnWorkspace, LocalizedInfoNce, MarginContrastive, Mlp, MlpWorkspace, Neighborhoods,
     SmallNegInfoNce,
 };
-use std::time::{Duration, Instant};
 
 /// Two corrupted `(graph, features)` views.
 pub(crate) type ViewPair = [(CsrGraph, Matrix); 2];
@@ -110,12 +109,12 @@ impl Encoder {
         }
     }
 
-    /// Hands the trained weights to the serving layer.
-    pub(crate) fn into_frozen(self) -> FrozenEncoder {
+    /// A copy of the trained weights for the serving layer.
+    pub(crate) fn frozen(&self) -> FrozenEncoder {
         match self {
-            Encoder::Gcn(e) => FrozenEncoder::Gcn(e),
-            Encoder::Sgc(e) => FrozenEncoder::Sgc(e),
-            Encoder::Sage(e) => FrozenEncoder::Sage(e),
+            Encoder::Gcn(e) => FrozenEncoder::Gcn(e.clone()),
+            Encoder::Sgc(e) => FrozenEncoder::Sgc(e.clone()),
+            Encoder::Sage(e) => FrozenEncoder::Sage(e.clone()),
         }
     }
 
@@ -480,21 +479,6 @@ where
         }
     }
 
-    /// Trains for `cfg.epochs` and packages the result.
-    pub(crate) fn run(
-        mut self,
-        start: Instant,
-        selection_time: Duration,
-    ) -> Result<PretrainResult, TrainError> {
-        let run = EpochDriver::new(self.cfg).run(&mut self, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            Some(self.twin.enc.into_frozen()),
-            selection_time,
-            start,
-        ))
-    }
-
     /// Trains one view pair and adds its encoder gradients into
     /// `self.grads`; returns its share of the epoch loss and the guard's
     /// embedding verdict. `sampled` holds the uncorrupted sampled graph and
@@ -702,6 +686,10 @@ where
 
     fn embed(&mut self) -> Matrix {
         self.twin.enc.embed(&self.adj_orig, self.x)
+    }
+
+    fn frozen_encoder(&self) -> Option<FrozenEncoder> {
+        Some(self.twin.enc.frozen())
     }
 
     fn snapshot(&mut self) -> Option<StepState> {

@@ -16,12 +16,11 @@ pub mod mvgrl;
 pub mod walks;
 
 use crate::config::{MinibatchConfig, TrainConfig};
-use crate::engine::EngineRun;
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
 use e2gcl_nn::FrozenEncoder;
 use e2gcl_selector::greedy::GreedySelector;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Output of a pre-training run.
 #[derive(Clone, Debug)]
@@ -45,26 +44,6 @@ pub struct PretrainResult {
     pub loss_curve: Vec<f32>,
 }
 
-impl PretrainResult {
-    /// Packages an engine run that started at `start`. `encoder` is `None`
-    /// for models whose encoder is not a servable GCN.
-    pub(crate) fn from_run(
-        run: EngineRun,
-        encoder: Option<FrozenEncoder>,
-        selection_time: Duration,
-        start: Instant,
-    ) -> Self {
-        PretrainResult {
-            embeddings: run.embeddings,
-            encoder,
-            selection_time,
-            total_time: start.elapsed(),
-            checkpoints: run.checkpoints,
-            loss_curve: run.loss_curve,
-        }
-    }
-}
-
 /// A self-supervised graph representation learner.
 pub trait ContrastiveModel {
     /// Model name as it appears in the paper's tables.
@@ -84,14 +63,26 @@ pub trait ContrastiveModel {
     ) -> Result<PretrainResult, TrainError>;
 }
 
-/// Typed rejection for models whose training loop has no mini-batch form:
-/// called at the top of their `pretrain`, so a `cfg.minibatch` block on an
-/// unsupported model fails loudly instead of being silently ignored.
-pub(crate) fn ensure_full_graph_only(cfg: &TrainConfig, model: &str) -> Result<(), TrainError> {
+/// Typed rejection for the two config blocks only E²GCL and GRACE/GCA
+/// honour, called at the top of every other model's `pretrain` so neither
+/// is silently ignored: a `cfg.minibatch` block (the model's training loop
+/// has no mini-batch form) and a non-`Full` [`crate::config::LossStrategy`]
+/// (the sub-quadratic kernels replace the InfoNCE denominator, and the
+/// model's objective is not InfoNCE-shaped).
+pub(crate) fn ensure_whole_graph_full_loss(
+    cfg: &TrainConfig,
+    model: &str,
+) -> Result<(), TrainError> {
     if cfg.minibatch.is_some() {
         return Err(TrainError::InvalidConfig(format!(
             "{model} does not support mini-batch training; unset cfg.minibatch \
              or use E2GCL / GRACE"
+        )));
+    }
+    if !cfg.loss.is_full() {
+        return Err(TrainError::InvalidConfig(format!(
+            "{model} supports only the full contrastive loss; unset cfg.loss \
+             (sub-quadratic strategies apply to E2GCL and GRACE/GCA)"
         )));
     }
     Ok(())
@@ -113,20 +104,6 @@ pub(crate) fn ensure_finite_features(x: &Matrix) -> Result<(), TrainError> {
         }),
         None => Ok(()),
     }
-}
-
-/// Typed rejection for models whose objective is not InfoNCE-shaped:
-/// the sub-quadratic [`crate::config::LossStrategy`] kernels replace the
-/// InfoNCE denominator, so a non-`Full` strategy on such a model fails
-/// loudly instead of being silently ignored.
-pub(crate) fn ensure_full_loss_only(cfg: &TrainConfig, model: &str) -> Result<(), TrainError> {
-    if !cfg.loss.is_full() {
-        return Err(TrainError::InvalidConfig(format!(
-            "{model} supports only the full contrastive loss; unset cfg.loss \
-             (sub-quadratic strategies apply to E2GCL and GRACE/GCA)"
-        )));
-    }
-    Ok(())
 }
 
 /// Upper bound on the candidate pool [`select_negatives`] hands to the
@@ -232,9 +209,9 @@ mod tests {
     #[test]
     fn full_loss_guard_rejects_sub_quadratic_strategies() {
         let mut cfg = TrainConfig::default();
-        assert!(ensure_full_loss_only(&cfg, "DGI").is_ok());
+        assert!(ensure_whole_graph_full_loss(&cfg, "DGI").is_ok());
         cfg.loss = crate::config::LossStrategy::SmallNeg { negatives: 64 };
-        let err = ensure_full_loss_only(&cfg, "DGI").unwrap_err();
+        let err = ensure_whole_graph_full_loss(&cfg, "DGI").unwrap_err();
         assert!(matches!(err, TrainError::InvalidConfig(_)), "{err}");
     }
 

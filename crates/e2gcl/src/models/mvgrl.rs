@@ -17,7 +17,6 @@ use e2gcl_graph::{norm, ppr, CsrGraph, SparseMatrix};
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
 use e2gcl_nn::{loss, optim, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace};
 use e2gcl_views::uniform;
-use std::time::Instant;
 
 /// MVGRL configuration.
 #[derive(Clone, Debug)]
@@ -73,9 +72,8 @@ impl ContrastiveModel for MvgrlModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let diffusion =
             ppr::ppr_diffusion_graph(g, self.config.alpha, self.config.epsilon, self.config.top_k);
         let a1 = norm::normalized_adjacency(g);
@@ -88,7 +86,7 @@ impl ContrastiveModel for MvgrlModel {
         let opt2 = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
         let disc_opt = Adam::new(cfg.lr);
         let train_rng = rng.fork("train");
-        let mut step = MvgrlStep {
+        driver.run(&mut MvgrlStep {
             config: &self.config,
             x,
             a1,
@@ -105,14 +103,7 @@ impl ContrastiveModel for MvgrlModel {
             ws1n: GcnWorkspace::new(),
             ws2n: GcnWorkspace::new(),
             dw: Matrix::default(),
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 

@@ -9,7 +9,6 @@ use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
 use crate::models::{ContrastiveModel, PretrainResult};
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{activations, ops, Matrix, SeedRng, TrainError};
-use std::time::Instant;
 
 /// Walk and skip-gram hyperparameters.
 #[derive(Clone, Debug)]
@@ -123,9 +122,8 @@ impl ContrastiveModel for WalkModel {
         cfg: &TrainConfig,
         rng: &mut SeedRng,
     ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_full_graph_only(cfg, &self.name())?;
-        crate::models::ensure_full_loss_only(cfg, &self.name())?;
-        let start = Instant::now();
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
         let n = g.num_nodes();
         let d = cfg.embed_dim;
         let mut rng = rng.fork("walks");
@@ -139,7 +137,7 @@ impl ContrastiveModel for WalkModel {
             .map(|v| (g.degree(v) as f32 + 1.0).powf(0.75))
             .collect();
         let order: Vec<usize> = (0..n).collect();
-        let mut step = WalkStep {
+        driver.run(&mut WalkStep {
             model: self,
             g,
             rng,
@@ -147,14 +145,7 @@ impl ContrastiveModel for WalkModel {
             w_out,
             neg_weights,
             order,
-        };
-        let run = EpochDriver::new(cfg).run(&mut step, start)?;
-        Ok(PretrainResult::from_run(
-            run,
-            None,
-            std::time::Duration::ZERO,
-            start,
-        ))
+        })
     }
 }
 

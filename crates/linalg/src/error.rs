@@ -86,21 +86,6 @@ impl fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-impl TrainError {
-    /// True for the numeric (per-epoch) failure variants — the ones a
-    /// guard policy can retry or skip, as opposed to configuration or
-    /// lookup mistakes that no amount of retrying will fix.
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            TrainError::NonFiniteLoss { .. }
-                | TrainError::DivergedLoss { .. }
-                | TrainError::NonFiniteGradient { .. }
-                | TrainError::NonFiniteEmbedding { .. }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,25 +119,6 @@ mod tests {
             valid: vec!["GRACE".into()],
         };
         assert!(e.to_string().contains("GRACY"));
-    }
-
-    #[test]
-    fn numeric_classification() {
-        assert!(TrainError::NonFiniteLoss { epoch: 0 }.is_numeric());
-        assert!(TrainError::DivergedLoss {
-            epoch: 0,
-            loss: 0.0,
-            baseline: 0.0
-        }
-        .is_numeric());
-        assert!(!TrainError::InvalidConfig("x".into()).is_numeric());
-        assert!(!TrainError::NonFiniteFeatures { row: 0, col: 0 }.is_numeric());
-        assert!(!TrainError::Checkpoint("x".into()).is_numeric());
-        assert!(!TrainError::UnknownDataset {
-            name: "x".into(),
-            valid: vec![]
-        }
-        .is_numeric());
     }
 
     #[test]

@@ -13,16 +13,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut SeedRng) -> Matrix {
     m
 }
 
-/// Kaiming/He normal initialisation for ReLU stacks: `N(0, 2/fan_in)`.
-pub fn kaiming_normal(rows: usize, cols: usize, rng: &mut SeedRng) -> Matrix {
-    let std = (2.0 / rows as f32).sqrt();
-    let mut m = Matrix::zeros(rows, cols);
-    for v in m.as_mut_slice() {
-        *v = rng.normal() * std;
-    }
-    m
-}
-
 /// Uniform initialisation in `[lo, hi)`.
 pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut SeedRng) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
@@ -44,19 +34,6 @@ mod tests {
         assert!(m.as_slice().iter().all(|v| v.abs() <= a));
         // Not all zero.
         assert!(m.frobenius_norm() > 0.0);
-    }
-
-    #[test]
-    fn kaiming_std_roughly_right() {
-        let mut rng = SeedRng::new(1);
-        let m = kaiming_normal(200, 200, &mut rng);
-        let n = (200 * 200) as f32;
-        let var = m.as_slice().iter().map(|v| v * v).sum::<f32>() / n;
-        let expect = 2.0 / 200.0;
-        assert!(
-            (var - expect).abs() < expect * 0.2,
-            "var {var} expect {expect}"
-        );
     }
 
     #[test]

@@ -134,20 +134,6 @@ pub fn argmax(a: &[f32]) -> Option<usize> {
     Some(best)
 }
 
-/// Index of the minimum value (first on ties). Returns `None` for empty input.
-pub fn argmin(a: &[f32]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &v) in a.iter().enumerate().skip(1) {
-        if v < a[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,9 +183,7 @@ mod tests {
     #[test]
     fn argmax_argmin_ties_and_empty() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[2.0, 0.0, 0.0]), Some(1));
         assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
     }
 
     #[test]

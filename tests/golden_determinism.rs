@@ -34,30 +34,8 @@ use e2gcl::models::mvgrl::MvgrlModel;
 use e2gcl::models::walks::WalkModel;
 use e2gcl::prelude::*;
 
-/// FNV-1a (the shared [`e2gcl::durable::Fnv1a64`] hasher) over the bit
-/// patterns of everything numerically meaningful in a [`PretrainResult`].
-/// Wall-clock fields (timings) are deliberately skipped.
-fn hash_matrix(h: &mut e2gcl::durable::Fnv1a64, m: &Matrix) {
-    h.write_u64(m.rows() as u64);
-    h.write_u64(m.cols() as u64);
-    for &v in m.as_slice() {
-        h.write_f32(v);
-    }
-}
-
-fn fingerprint(r: &PretrainResult) -> u64 {
-    let mut h = e2gcl::durable::Fnv1a64::new();
-    h.write_u64(r.loss_curve.len() as u64);
-    for &l in &r.loss_curve {
-        h.write_f32(l);
-    }
-    hash_matrix(&mut h, &r.embeddings);
-    h.write_u64(r.checkpoints.len() as u64);
-    for (_, m) in &r.checkpoints {
-        hash_matrix(&mut h, m);
-    }
-    h.finish()
-}
+mod common;
+use common::fingerprint;
 
 fn tiny_cfg() -> TrainConfig {
     TrainConfig {

@@ -25,16 +25,13 @@ use e2gcl::models::grace::GraceModel;
 use e2gcl::prelude::*;
 use std::process::Command;
 
+mod common;
+use common::hash_matrix;
+
 const CHILD_ENV: &str = "E2GCL_LOSS_STRATEGY_DETERMINISM_CHILD";
 
-fn hash_matrix(h: &mut Fnv1a64, m: &Matrix) {
-    h.write_u64(m.rows() as u64);
-    h.write_u64(m.cols() as u64);
-    for &v in m.as_slice() {
-        h.write_f32(v);
-    }
-}
-
+/// Like `common::fingerprint` but without the checkpoint count: the goldens
+/// below were recorded without it.
 fn fingerprint(r: &PretrainResult) -> u64 {
     let mut h = Fnv1a64::new();
     h.write_u64(r.loss_curve.len() as u64);

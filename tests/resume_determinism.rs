@@ -14,30 +14,8 @@ use e2gcl::models::dgi::DgiModel;
 use e2gcl::prelude::*;
 use std::path::PathBuf;
 
-/// FNV-1a (the shared [`e2gcl::durable::Fnv1a64`] hasher) over every
-/// bit-relevant field of a [`PretrainResult`]; wall-clock checkpoint
-/// timestamps are skipped. Mirrors `golden_determinism.rs`.
-fn hash_matrix(h: &mut e2gcl::durable::Fnv1a64, m: &Matrix) {
-    h.write_u64(m.rows() as u64);
-    h.write_u64(m.cols() as u64);
-    for &v in m.as_slice() {
-        h.write_f32(v);
-    }
-}
-
-fn fingerprint(r: &PretrainResult) -> u64 {
-    let mut h = e2gcl::durable::Fnv1a64::new();
-    h.write_u64(r.loss_curve.len() as u64);
-    for &l in &r.loss_curve {
-        h.write_f32(l);
-    }
-    hash_matrix(&mut h, &r.embeddings);
-    h.write_u64(r.checkpoints.len() as u64);
-    for (_, m) in &r.checkpoints {
-        hash_matrix(&mut h, m);
-    }
-    h.finish()
-}
+mod common;
+use common::fingerprint;
 
 /// A scratch checkpoint path under the system temp dir, removed on drop.
 struct TempCkpt(PathBuf);
