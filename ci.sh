@@ -19,7 +19,10 @@
 #                                   training engine (engine.rs); models must
 #                                   go through EpochDriver, which also owns
 #                                   the run clock, so non-test code under
-#                                   crates/e2gcl/src/models/ names no Instant
+#                                   crates/e2gcl/src/models/ names no Instant;
+#                                   training runs the workspace passes, so
+#                                   no non-test code outside
+#                                   crates/nn/src/gcn.rs names GcnCache
 #   6. release smoke run          — the quickstart example drives the full
 #                                   selector -> views -> EpochDriver stack
 #                                   in release mode
@@ -125,7 +128,7 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-echo "==> lint: NumericGuard::new only in the training engine, no Instant in models"
+echo "==> lint: NumericGuard::new only in the training engine, no Instant in models, no GcnCache users"
 # Every model must train through EpochDriver; constructing a guard anywhere
 # else bypasses the engine's backoff/recovery sequencing. Same technique as
 # above: scan only production code (before the first #[cfg(test)]).
@@ -154,6 +157,21 @@ for f in $(find crates/e2gcl/src/models -name '*.rs' | sort); do
 done
 if [ "$fail" -ne 0 ]; then
     echo "error: Instant in a model — timing belongs to EpochDriver (engine.rs)" >&2
+    exit 1
+fi
+# Every encoder trains through forward_with/backward_with. The allocating
+# GCN pair survives only for e2e_bench's replays, which never name its
+# cache type, so no other code may start depending on it.
+for f in $(find crates -name '*.rs' ! -path 'crates/nn/src/gcn.rs' | sort); do
+    hits=$(awk '/#\[cfg\(test\)\]/{exit} {sub(/^[ \t]+/, ""); if ($0 !~ /^\/\//) print FILENAME":"FNR": "$0}' "$f" \
+        | grep -F 'GcnCache' || true)
+    if [ -n "$hits" ]; then
+        echo "$hits"
+        fail=1
+    fi
+done
+if [ "$fail" -ne 0 ]; then
+    echo "error: GcnCache outside gcn.rs — train through GcnEncoder::forward_with/backward_with" >&2
     exit 1
 fi
 

@@ -11,8 +11,8 @@ use e2gcl::prelude::*;
 
 /// Instantiates a contrastive model by its table name.
 ///
-/// Unknown names return [`TrainError::UnknownModel`] listing the registered
-/// ones; see [`table4_contrastive_names`].
+/// Unknown names return [`TrainError::UnknownModel`] listing every accepted
+/// name.
 pub fn model(name: &str) -> Result<Box<dyn ContrastiveModel>, TrainError> {
     Ok(match name {
         "E2GCL" => Box::new(E2gclModel::default()),
@@ -30,10 +30,7 @@ pub fn model(name: &str) -> Result<Box<dyn ContrastiveModel>, TrainError> {
         other => {
             return Err(TrainError::UnknownModel {
                 name: other.to_string(),
-                valid: table4_contrastive_names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
+                valid: MODEL_NAMES.iter().map(|s| s.to_string()).collect(),
             })
         }
     })
@@ -45,12 +42,11 @@ pub fn is_walk_model(name: &str) -> bool {
     matches!(name, "DW" | "N2V")
 }
 
-/// The self-supervised rows of Table IV, top to bottom.
-pub fn table4_contrastive_names() -> Vec<&'static str> {
-    vec![
-        "DW", "N2V", "GAE", "VGAE", "DGI", "BGRL", "AFGRL", "MVGRL", "GRACE", "GCA", "E2GCL",
-    ]
-}
+/// Every name [`model`] accepts: the self-supervised rows of Table IV, top
+/// to bottom, then ADGCL.
+const MODEL_NAMES: &[&str] = &[
+    "DW", "N2V", "GAE", "VGAE", "DGI", "BGRL", "AFGRL", "MVGRL", "GRACE", "GCA", "E2GCL", "ADGCL",
+];
 
 /// The strongest baselines used in Fig. 3 / Table V / Table IX comparisons.
 pub fn strong_baseline_names() -> Vec<&'static str> {
@@ -63,7 +59,7 @@ mod tests {
 
     #[test]
     fn every_registered_name_constructs() {
-        for n in table4_contrastive_names() {
+        for &n in MODEL_NAMES {
             let m = model(n).unwrap();
             // Registry name must match the table name the paper prints
             // (walk models use the paper's abbreviations).
@@ -83,7 +79,15 @@ mod tests {
         let Err(err) = model("GPT") else {
             panic!("expected an unknown-model error");
         };
-        assert!(matches!(err, TrainError::UnknownModel { .. }));
         assert!(err.to_string().contains("E2GCL"), "{err}");
+        // The list names every accepted model, ADGCL included, and nothing
+        // else.
+        let TrainError::UnknownModel { valid, .. } = err else {
+            panic!("expected an unknown-model error, got {err}");
+        };
+        assert!(valid.iter().any(|n| n == "ADGCL"), "{valid:?}");
+        for n in &valid {
+            assert!(model(n).is_ok(), "listed name {n} does not construct");
+        }
     }
 }

@@ -13,7 +13,7 @@ use e2gcl_linalg::{stats, Matrix, SeedRng};
 use e2gcl_nn::loss;
 use e2gcl_nn::optim::Optimizer;
 use e2gcl_nn::probe::{LinearProbe, LinkDecoder, ProbeConfig};
-use e2gcl_nn::{Adam, GcnEncoder, Linear};
+use e2gcl_nn::{Adam, GcnEncoder, GcnWorkspace, Linear};
 
 /// Accuracy of a frozen-embedding linear probe on one random 10/10/80 split.
 pub fn node_classification_accuracy(
@@ -93,8 +93,10 @@ pub fn supervised_gcn_accuracy(
     let mut head = Linear::new(cfg.embed_dim, num_classes, &mut rng.fork("head"));
     let mut opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
     let y_train: Vec<usize> = split.train.iter().map(|&v| labels[v]).collect();
+    let mut ws = GcnWorkspace::new();
     for _ in 0..cfg.epochs.max(50) {
-        let (h, cache) = encoder.forward(&adj, x);
+        encoder.forward_with(&adj, x, &mut ws);
+        let h = ws.output();
         let h_train = h.select_rows(&split.train);
         let (logits, hc) = head.forward(&h_train);
         let (_, dlogits) = loss::softmax_cross_entropy(&logits, &y_train);
@@ -104,8 +106,8 @@ pub fn supervised_gcn_accuracy(
         for (i, &v) in split.train.iter().enumerate() {
             dh.row_mut(v).copy_from_slice(hg.dx.row(i));
         }
-        let grads = encoder.backward(&adj, &cache, &dh);
-        opt.step(encoder.params_mut(), &grads);
+        encoder.backward_with(&adj, &mut ws, &dh);
+        opt.step(encoder.params_mut(), ws.grads());
         head.step(&hg, cfg.lr, cfg.weight_decay);
     }
     let h = encoder.embed(&adj, x);

@@ -4,7 +4,7 @@
 use crate::checkpoint::StepState;
 use crate::config::TrainConfig;
 use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
-use crate::models::infonce::{self, Encoder, InfoNceStep, Twin, ViewPair};
+use crate::models::infonce::{self, accumulate, InfoNceStep, Twin, ViewPair};
 use crate::models::{
     ensure_finite_features, sample_negative_indices, sampled_minibatch, ContrastiveModel,
     PretrainResult,
@@ -13,6 +13,7 @@ use e2gcl_graph::{CsrGraph, SparseMatrix};
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
 use e2gcl_nn::{
     optim::Optimizer, Adam, ContrastiveLoss, FrozenEncoder, GcnEncoder, MarginContrastive,
+    SageEncoder, SgcEncoder,
 };
 use e2gcl_selector::baselines::{
     DegreeSelector, GrainSelector, KCenterGreedy, KMeansSelector, RandomSelector,
@@ -64,6 +65,18 @@ pub enum EncoderKind {
     Sgc,
     /// GraphSAGE-mean — separate self/neighbour transforms.
     Sage,
+}
+
+impl EncoderKind {
+    /// A freshly initialised encoder of this family over `d_x` features,
+    /// with `cfg`'s layer widths (SGC: two propagation steps).
+    fn build(self, d_x: usize, cfg: &TrainConfig, rng: &mut SeedRng) -> FrozenEncoder {
+        match self {
+            EncoderKind::Gcn => FrozenEncoder::Gcn(GcnEncoder::new(&cfg.encoder_dims(d_x), rng)),
+            EncoderKind::Sgc => FrozenEncoder::Sgc(SgcEncoder::new(d_x, cfg.embed_dim, 2, rng)),
+            EncoderKind::Sage => FrozenEncoder::Sage(SageEncoder::new(&cfg.encoder_dims(d_x), rng)),
+        }
+    }
 }
 
 /// Which contrastive objective E²GCL trains with on the whole graph under
@@ -217,7 +230,7 @@ struct E2gclPerNodeStep<'a> {
     cfg: &'a TrainConfig,
     selection: Selection,
     generator: ViewGenerator,
-    encoder: Encoder,
+    encoder: FrozenEncoder,
     adj_orig: SparseMatrix,
     loss: MarginContrastive,
     opt: Adam,
@@ -238,46 +251,49 @@ impl EpochStep for E2gclPerNodeStep<'_> {
         let batch: Vec<usize> = (0..bsz)
             .map(|_| anchors[self.train_rng.weighted_index(weights)])
             .collect();
-        // Encode each anchor's two ego views; remember everything the
-        // backward pass needs.
-        let mut hb1 = Matrix::zeros(bsz, cfg.embed_dim);
-        let mut hb2 = Matrix::zeros(bsz, cfg.embed_dim);
+        // Encode each anchor's two ego views, one workspace each, kept
+        // until that view's backward pass.
+        let enc = &self.encoder;
+        let mut hb = [
+            Matrix::zeros(bsz, cfg.embed_dim),
+            Matrix::zeros(bsz, cfg.embed_dim),
+        ];
         let mut ctx = Vec::with_capacity(bsz);
         for (i, &v) in batch.iter().enumerate() {
             let rng = &mut self.train_rng;
-            let va = self
-                .generator
-                .sample_ego_view(v, conf.tau_hat, conf.eta_hat, rng);
-            let vb = self
-                .generator
-                .sample_ego_view(v, conf.tau_tilde, conf.eta_tilde, rng);
-            let aa = self.encoder.adjacency(&va.graph);
-            let ab = self.encoder.adjacency(&vb.graph);
-            let (ha, ca) = self.encoder.forward(&aa, &va.features);
-            let (hb, cb) = self.encoder.forward(&ab, &vb.features);
-            hb1.set_row(i, ha.row(va.center));
-            hb2.set_row(i, hb.row(vb.center));
-            ctx.push((va, aa, ca, ha.rows(), vb, ab, cb, hb.rows()));
+            let views = [
+                (conf.tau_hat, conf.eta_hat),
+                (conf.tau_tilde, conf.eta_tilde),
+            ]
+            .map(|(tau, eta)| {
+                let view = self.generator.sample_ego_view(v, tau, eta, rng);
+                let adj = enc.adjacency(&view.graph);
+                let mut ws = enc.workspace();
+                enc.forward_with(&adj, &view.features, &mut ws);
+                (view, adj, ws)
+            });
+            for (side, (view, _, ws)) in views.iter().enumerate() {
+                hb[side].set_row(i, ws.output().row(view.center));
+            }
+            ctx.push(views);
         }
         self.loss.set_negatives(
             (0..bsz)
                 .map(|i| sample_negative_indices(bsz, i, conf.negatives, &mut self.train_rng))
                 .collect(),
         );
-        let batch_loss = self.loss.compute(&hb1, &hb2);
-        let (d1, d2) = (self.loss.d_z1(), self.loss.d_z2());
+        let batch_loss = self.loss.compute(&hb[0], &hb[1]);
+        let d = [self.loss.d_z1(), self.loss.d_z2()];
         // Backprop each ego view with a one-hot centre-row gradient.
-        let mut acc: Option<Vec<Matrix>> = None;
-        for (i, (va, aa, ca, na, vb, ab, cb, nb)) in ctx.iter().enumerate() {
-            let mut da = Matrix::zeros(*na, cfg.embed_dim);
-            da.set_row(va.center, d1.row(i));
-            GcnEncoder::accumulate(&mut acc, self.encoder.backward(aa, ca, &da), 1.0);
-            let mut db = Matrix::zeros(*nb, cfg.embed_dim);
-            db.set_row(vb.center, d2.row(i));
-            GcnEncoder::accumulate(&mut acc, self.encoder.backward(ab, cb, &db), 1.0);
+        for (i, views) in ctx.into_iter().enumerate() {
+            for (side, (view, adj, mut ws)) in views.into_iter().enumerate() {
+                let mut d_h = Matrix::zeros(ws.output().rows(), cfg.embed_dim);
+                d_h.set_row(view.center, d[side].row(i));
+                enc.backward_with(&adj, &view.features, &mut ws, &d_h);
+                accumulate(&mut self.grads, i == 0 && side == 0, ws.grads(), 1.0);
+            }
         }
-        self.grads = acc.unwrap_or_default();
-        let embeddings_bad = cx.guard.embeddings_bad(&[&hb1, &hb2]);
+        let embeddings_bad = cx.guard.embeddings_bad(&[&hb[0], &hb[1]]);
         EpochOutcome::Step {
             loss: batch_loss,
             embeddings_bad,
@@ -298,7 +314,7 @@ impl EpochStep for E2gclPerNodeStep<'_> {
     }
 
     fn frozen_encoder(&self) -> Option<FrozenEncoder> {
-        Some(self.encoder.frozen())
+        Some(self.encoder.clone())
     }
 
     fn snapshot(&mut self) -> Option<StepState> {
@@ -360,7 +376,7 @@ impl ContrastiveModel for E2gclModel {
         // ---- Global view generator (Alg. 3 precomputation) ----
         let generator = (!sampled)
             .then(|| ViewGenerator::new(g, x, self.view_config(), &mut rng.fork("views")));
-        let encoder = Encoder::new(conf.encoder, x.cols(), cfg, &mut rng.fork("init"));
+        let encoder = conf.encoder.build(x.cols(), cfg, &mut rng.fork("init"));
         let margin = || MarginContrastive::new(conf.margin, conf.normalize);
         if per_node {
             return driver.run(&mut E2gclPerNodeStep {
@@ -403,7 +419,7 @@ impl ContrastiveModel for E2gclModel {
             x,
             cfg,
             augment,
-            Twin::new(encoder),
+            Twin::released(encoder),
             None,
             Some(selection.nodes),
             0.5,

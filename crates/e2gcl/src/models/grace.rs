@@ -14,7 +14,7 @@ use crate::models::infonce::{InfoNceStep, Twin, ViewPair};
 use crate::models::{sampled_minibatch, ContrastiveModel, PretrainResult};
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
-use e2gcl_nn::{GcnEncoder, Mlp};
+use e2gcl_nn::{FrozenEncoder, GcnEncoder, Mlp};
 use e2gcl_views::{scores::GraphScores, uniform};
 
 /// Configuration for GRACE and GCA.
@@ -182,7 +182,7 @@ impl ContrastiveModel for GraceModel {
                 self.make_view(g, x, gca.as_ref(), conf.drop_edge.1, conf.mask_feat.1, rng),
             ]
         };
-        let twin = Twin::gcn(enc);
+        let twin = Twin::resident(FrozenEncoder::Gcn(enc));
         let train_rng = rng.fork("train");
         driver.run(&mut InfoNceStep::new(
             g,

@@ -30,184 +30,44 @@
 use crate::checkpoint::{restore_params, StepState};
 use crate::config::{LossStrategy, TrainConfig};
 use crate::engine::{EpochCtx, EpochOutcome, EpochStep};
-use crate::models::e2gcl_model::EncoderKind;
 use crate::models::{
     sample_negative_indices, sampled_minibatch, select_negatives, shuffled_batches,
 };
-use e2gcl_graph::{norm, CsrGraph, NeighborSampler, SparseMatrix};
+use e2gcl_graph::{CsrGraph, NeighborSampler, SparseMatrix};
 use e2gcl_linalg::{Matrix, SeedRng, TrainError};
-use e2gcl_nn::sage::{SageCache, SageEncoder};
-use e2gcl_nn::sgc::{SgcCache, SgcEncoder};
 use e2gcl_nn::{
-    gcn::GcnCache, optim::Optimizer, Adam, ContrastiveLoss, FrozenEncoder, FullInfoNce, GcnEncoder,
-    GcnWorkspace, LocalizedInfoNce, MarginContrastive, Mlp, MlpWorkspace, Neighborhoods,
-    SmallNegInfoNce,
+    optim::Optimizer, Adam, ContrastiveLoss, EncoderWorkspace, FrozenEncoder, FullInfoNce,
+    LocalizedInfoNce, MarginContrastive, Mlp, MlpWorkspace, Neighborhoods, SmallNegInfoNce,
 };
 
 /// Two corrupted `(graph, features)` views.
 pub(crate) type ViewPair = [(CsrGraph, Matrix); 2];
 
-/// Uniform facade over the supported encoders.
-pub(crate) enum Encoder {
-    Gcn(GcnEncoder),
-    Sgc(SgcEncoder),
-    Sage(SageEncoder),
-}
-
-pub(crate) enum EncoderCache {
-    Gcn(GcnCache),
-    Sgc(SgcCache),
-    Sage(SageCache),
-}
-
-impl Encoder {
-    pub(crate) fn new(
-        kind: EncoderKind,
-        d_x: usize,
-        cfg: &TrainConfig,
-        rng: &mut SeedRng,
-    ) -> Encoder {
-        match kind {
-            EncoderKind::Gcn => Encoder::Gcn(GcnEncoder::new(&cfg.encoder_dims(d_x), rng)),
-            EncoderKind::Sgc => Encoder::Sgc(SgcEncoder::new(d_x, cfg.embed_dim, 2, rng)),
-            EncoderKind::Sage => Encoder::Sage(SageEncoder::new(&cfg.encoder_dims(d_x), rng)),
-        }
-    }
-
-    /// The adjacency operator this encoder family aggregates with:
-    /// symmetric GCN normalisation for GCN/SGC, row-stochastic mean for
-    /// SAGE.
-    pub(crate) fn adjacency(&self, g: &CsrGraph) -> SparseMatrix {
-        match self {
-            Encoder::Gcn(_) | Encoder::Sgc(_) => norm::normalized_adjacency(g),
-            Encoder::Sage(_) => norm::row_normalized_adjacency(g),
-        }
-    }
-
-    pub(crate) fn forward(&self, adj: &SparseMatrix, x: &Matrix) -> (Matrix, EncoderCache) {
-        match self {
-            Encoder::Gcn(e) => {
-                let (h, c) = e.forward(adj, x);
-                (h, EncoderCache::Gcn(c))
-            }
-            Encoder::Sgc(e) => {
-                let (h, c) = e.forward(adj, x);
-                (h, EncoderCache::Sgc(c))
-            }
-            Encoder::Sage(e) => {
-                let (h, c) = e.forward(adj, x);
-                (h, EncoderCache::Sage(c))
-            }
-        }
-    }
-
-    pub(crate) fn embed(&self, adj: &SparseMatrix, x: &Matrix) -> Matrix {
-        match self {
-            Encoder::Gcn(e) => e.embed(adj, x),
-            Encoder::Sgc(e) => e.embed(adj, x),
-            Encoder::Sage(e) => e.embed(adj, x),
-        }
-    }
-
-    /// A copy of the trained weights for the serving layer.
-    pub(crate) fn frozen(&self) -> FrozenEncoder {
-        match self {
-            Encoder::Gcn(e) => FrozenEncoder::Gcn(e.clone()),
-            Encoder::Sgc(e) => FrozenEncoder::Sgc(e.clone()),
-            Encoder::Sage(e) => FrozenEncoder::Sage(e.clone()),
-        }
-    }
-
-    pub(crate) fn backward(
-        &self,
-        adj: &SparseMatrix,
-        cache: &EncoderCache,
-        d: &Matrix,
-    ) -> Vec<Matrix> {
-        match (self, cache) {
-            (Encoder::Gcn(e), EncoderCache::Gcn(c)) => e.backward(adj, c, d),
-            (Encoder::Sgc(e), EncoderCache::Sgc(c)) => e.backward(c, d),
-            (Encoder::Sage(e), EncoderCache::Sage(c)) => e.backward(adj, c, d),
-            _ => unreachable!("encoder/cache kind mismatch"),
-        }
-    }
-
-    pub(crate) fn params(&self) -> &[Matrix] {
-        match self {
-            Encoder::Gcn(e) => e.params(),
-            Encoder::Sgc(e) => e.params(),
-            Encoder::Sage(e) => e.params(),
-        }
-    }
-
-    pub(crate) fn params_mut(&mut self) -> &mut [Matrix] {
-        match self {
-            Encoder::Gcn(e) => e.params_mut(),
-            Encoder::Sgc(e) => e.params_mut(),
-            Encoder::Sage(e) => e.params_mut(),
-        }
-    }
-}
-
-/// The encoder half of the step, run over both views. [`Twin::new`] runs
-/// allocating passes and keeps one cache per view until that view's
-/// backward pass; [`Twin::gcn`] runs a GCN through one allocation-free
-/// workspace per view (bit-identical passes). GRACE/GCA take the
-/// workspaces for allocation-free steady-state epochs; E²GCL keeps the
-/// allocating passes, because workspaces sized for the largest sampled
-/// view stay resident between views and raise the mini-batch peak RSS by
-/// about half.
+/// The encoder half of the step, run over both views through one workspace
+/// per view. [`Twin::resident`] keeps both workspaces between epochs, so
+/// steady-state epochs allocate nothing (GRACE/GCA). [`Twin::released`]
+/// drops each view's workspace right after its backward pass (E²GCL):
+/// workspaces sized for the largest sampled view would otherwise stay
+/// resident between views and raise the mini-batch peak RSS.
 pub(crate) struct Twin {
-    enc: Encoder,
-    ws: Option<[GcnWorkspace; 2]>,
-    caches: [Option<(Matrix, EncoderCache)>; 2],
-    grads: Vec<Matrix>,
+    enc: FrozenEncoder,
+    ws: [EncoderWorkspace; 2],
+    release: bool,
 }
 
 impl Twin {
-    pub(crate) fn new(enc: Encoder) -> Twin {
+    pub(crate) fn resident(enc: FrozenEncoder) -> Twin {
         Twin {
+            ws: [enc.workspace(), enc.workspace()],
             enc,
-            ws: None,
-            caches: [None, None],
-            grads: Vec::new(),
+            release: false,
         }
     }
 
-    pub(crate) fn gcn(enc: GcnEncoder) -> Twin {
+    pub(crate) fn released(enc: FrozenEncoder) -> Twin {
         Twin {
-            ws: Some(Default::default()),
-            ..Twin::new(Encoder::Gcn(enc))
-        }
-    }
-
-    fn forward(&mut self, side: usize, adj: &SparseMatrix, x: &Matrix) {
-        match (&self.enc, &mut self.ws) {
-            (Encoder::Gcn(e), Some(ws)) => e.forward_with(adj, x, &mut ws[side]),
-            (enc, _) => self.caches[side] = Some(enc.forward(adj, x)),
-        }
-    }
-
-    fn output(&self, side: usize) -> &Matrix {
-        match (&self.caches[side], &self.ws) {
-            (Some((h, _)), _) => h,
-            (None, ws) => ws.as_ref().expect("view encoded")[side].output(),
-        }
-    }
-
-    /// Backpropagates `d_h` through view `side`, releasing its cache;
-    /// returns the weight gradients in [`Encoder::params`] order.
-    fn backward(&mut self, side: usize, adj: &SparseMatrix, d_h: &Matrix) -> &[Matrix] {
-        match (&self.enc, self.caches[side].take(), &mut self.ws) {
-            (enc, Some((_, cache)), _) => {
-                self.grads = enc.backward(adj, &cache, d_h);
-                &self.grads
-            }
-            (Encoder::Gcn(e), None, Some(ws)) => {
-                e.backward_with(adj, &mut ws[side], d_h);
-                ws[side].grads()
-            }
-            _ => unreachable!("backward without a forward"),
+            release: true,
+            ..Twin::resident(enc)
         }
     }
 }
@@ -288,9 +148,9 @@ impl Objective {
     }
 }
 
-/// `acc = scale·g` when `first`, else `acc += scale·g` — the float ops of
-/// `GcnEncoder::accumulate`, into buffers reused across epochs.
-fn accumulate(acc: &mut Vec<Matrix>, first: bool, grads: &[Matrix], scale: f32) {
+/// `acc = scale·g` when `first`, else `acc += scale·g`, into buffers reused
+/// across epochs.
+pub(crate) fn accumulate(acc: &mut Vec<Matrix>, first: bool, grads: &[Matrix], scale: f32) {
     if first {
         acc.resize_with(grads.len(), Matrix::default);
     }
@@ -509,9 +369,10 @@ where
             twin.enc.adjacency(&pair[0].0),
             twin.enc.adjacency(&pair[1].0),
         ];
-        twin.forward(0, &adj[0], &pair[0].1);
-        twin.forward(1, &adj[1], &pair[1].1);
-        let (h1, h2) = (twin.output(0), twin.output(1));
+        for (side, ws) in twin.ws.iter_mut().enumerate() {
+            twin.enc.forward_with(&adj[side], &pair[side].1, ws);
+        }
+        let (h1, h2) = (twin.ws[0].output(), twin.ws[1].output());
         let bad = cx.guard.embeddings_bad(&[h1, h2]);
         let n = h1.rows();
         let (graph, anchors) = match sampled {
@@ -608,17 +469,17 @@ where
                 (false, Some(h)) => h.ws[side].d_input(),
                 (false, None) => loss.d_z(side),
             };
-            accumulate(
-                grads,
-                first && side == 0,
-                twin.backward(side, &adj[side], d),
-                scale,
-            );
+            let ws = &mut twin.ws[side];
+            twin.enc.backward_with(&adj[side], &pair[side].1, ws, d);
+            accumulate(grads, first && side == 0, ws.grads(), scale);
+            if twin.release {
+                *ws = twin.enc.workspace();
+            }
         }
-        if twin.ws.is_none() {
-            // Allocating passes keep no gather buffer resident between
-            // views: E²GCL frees its per-view matrices around it, and a
-            // resident n-row buffer fragments that heap (train_full's peak
+        if twin.release {
+            // Released workspaces keep no gather buffer resident between
+            // views either: E²GCL frees its per-view matrices around it, and
+            // a resident n-row buffer fragments that heap (train_full's peak
             // RSS rose from about 75 MB to about 97 MB).
             *d_h = Default::default();
             *hb = Default::default();
@@ -689,7 +550,7 @@ where
     }
 
     fn frozen_encoder(&self) -> Option<FrozenEncoder> {
-        Some(self.twin.enc.frozen())
+        Some(self.twin.enc.clone())
     }
 
     fn snapshot(&mut self) -> Option<StepState> {

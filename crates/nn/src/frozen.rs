@@ -1,27 +1,28 @@
-//! Frozen (inference-only) encoders — the serving-side view of a trained
-//! model.
+//! The encoder family behind the §IV-C encoder-agnosticism experiments —
+//! GCN, SGC or SAGE — as one type, used both to train and to serve.
 //!
-//! The GCL protocol the paper follows (§V, Alg. 1) is pretrain-once /
-//! probe-many: after pre-training the encoder is *frozen* and reused for
-//! every downstream query. [`FrozenEncoder`] captures exactly that
-//! contract: the trained weights of one encoder family plus the forward
-//! pass, with no optimiser state, caches, or gradients attached. It is the
-//! unit of persistence for `e2gcl-serve` artifacts and the engine behind
-//! inductive (ego-subgraph) inference.
+//! [`FrozenEncoder`] holds the weights of one family and dispatches its
+//! passes; it is the only place that matches on the family. Training
+//! mutates the weights: the contrastive step runs
+//! [`FrozenEncoder::forward_with`]/[`FrozenEncoder::backward_with`] and its
+//! optimiser writes through [`FrozenEncoder::params_mut`]. Serving holds
+//! them frozen: the GCL protocol the paper follows (§V, Alg. 1) is
+//! pretrain-once / probe-many, so after pre-training the encoder is reused
+//! for every downstream query with no optimiser state or gradients
+//! attached. It is the unit of persistence for `e2gcl-serve` artifacts and
+//! the engine behind inductive (ego-subgraph) inference.
 //!
-//! [`EncoderWorkspace`] is the matching scratch buffer: repeated
-//! [`FrozenEncoder::embed_with`] calls reuse one workspace and stay off the
-//! allocator once warm (the GCN/SAGE paths reuse the PR-2 `*Workspace`
-//! types; the single-matmul SGC path has no workspace to speak of and
-//! writes through a plain output buffer).
+//! [`EncoderWorkspace`] holds the matching family's buffers: repeated
+//! passes through one workspace stay off the allocator once it is warm.
 
 use crate::gcn::{GcnEncoder, GcnWorkspace};
 use crate::sage::{SageEncoder, SageWorkspace};
-use crate::sgc::SgcEncoder;
+use crate::sgc::{SgcEncoder, SgcWorkspace};
 use e2gcl_graph::{norm, CsrGraph, SparseMatrix};
 use e2gcl_linalg::Matrix;
 
-/// A trained encoder with its weights frozen for inference.
+/// An encoder of one family: trained through [`Self::forward_with`] and
+/// [`Self::backward_with`], then frozen for inference.
 #[derive(Clone, Debug)]
 pub enum FrozenEncoder {
     /// The Eq. (1) GCN (the paper's default).
@@ -32,16 +33,37 @@ pub enum FrozenEncoder {
     Sage(SageEncoder),
 }
 
-/// Reusable forward buffers for one [`FrozenEncoder`]; build with
-/// [`FrozenEncoder::workspace`] and thread through [`FrozenEncoder::embed_with`].
+/// Reusable forward/backward buffers for one [`FrozenEncoder`] data flow;
+/// build with [`FrozenEncoder::workspace`].
 #[derive(Debug)]
 pub enum EncoderWorkspace {
-    /// Scratch for the GCN forward.
+    /// GCN buffers.
     Gcn(GcnWorkspace),
-    /// Scratch for the SAGE forward.
+    /// SAGE buffers.
     Sage(SageWorkspace),
-    /// SGC output staging (the forward itself is one SpMM power + matmul).
-    Sgc(Matrix),
+    /// SGC buffers.
+    Sgc(SgcWorkspace),
+}
+
+impl EncoderWorkspace {
+    /// Embeddings from the last [`FrozenEncoder::forward_with`].
+    pub fn output(&self) -> &Matrix {
+        match self {
+            EncoderWorkspace::Gcn(w) => w.output(),
+            EncoderWorkspace::Sage(w) => w.output(),
+            EncoderWorkspace::Sgc(w) => w.output(),
+        }
+    }
+
+    /// Weight gradients from the last [`FrozenEncoder::backward_with`], in
+    /// [`FrozenEncoder::params`] order.
+    pub fn grads(&self) -> &[Matrix] {
+        match self {
+            EncoderWorkspace::Gcn(w) => w.grads(),
+            EncoderWorkspace::Sage(w) => w.grads(),
+            EncoderWorkspace::Sgc(w) => w.grads(),
+        }
+    }
 }
 
 impl FrozenEncoder {
@@ -93,6 +115,15 @@ impl FrozenEncoder {
         }
     }
 
+    /// Mutable flat weights, for the optimiser.
+    pub fn params_mut(&mut self) -> &mut [Matrix] {
+        match self {
+            FrozenEncoder::Gcn(e) => e.params_mut(),
+            FrozenEncoder::Sgc(e) => e.params_mut(),
+            FrozenEncoder::Sage(e) => e.params_mut(),
+        }
+    }
+
     /// The adjacency operator this family aggregates with: symmetric GCN
     /// normalisation for GCN/SGC, row-stochastic mean for SAGE.
     pub fn adjacency(&self, g: &CsrGraph) -> SparseMatrix {
@@ -117,51 +148,63 @@ impl FrozenEncoder {
         }
     }
 
-    /// A fresh scratch workspace for [`Self::embed_with`].
+    /// A fresh, empty workspace of this family.
     pub fn workspace(&self) -> EncoderWorkspace {
         match self {
             FrozenEncoder::Gcn(_) => EncoderWorkspace::Gcn(GcnWorkspace::new()),
             FrozenEncoder::Sage(_) => EncoderWorkspace::Sage(SageWorkspace::new()),
-            FrozenEncoder::Sgc(_) => EncoderWorkspace::Sgc(Matrix::default()),
+            FrozenEncoder::Sgc(_) => EncoderWorkspace::Sgc(SgcWorkspace::default()),
         }
     }
 
-    /// [`Self::embed`] through a reusable workspace: bit-identical output,
-    /// no fresh activation buffers once the workspace is warm (GCN/SAGE).
-    ///
-    /// A workspace built for a different encoder family is transparently
+    /// Training forward pass into `ws`, bit-identical to [`Self::embed`]
+    /// (read the embeddings via [`EncoderWorkspace::output`]); `adj` comes
+    /// from [`Self::adjacency`]. A workspace built for a different family is
     /// replaced with a fresh matching one (losing its warm buffers, nothing
     /// else).
+    pub fn forward_with(&self, adj: &SparseMatrix, x: &Matrix, ws: &mut EncoderWorkspace) {
+        match (self, &mut *ws) {
+            (FrozenEncoder::Gcn(e), EncoderWorkspace::Gcn(w)) => e.forward_with(adj, x, w),
+            (FrozenEncoder::Sage(e), EncoderWorkspace::Sage(w)) => e.forward_with(adj, x, w),
+            (FrozenEncoder::Sgc(e), EncoderWorkspace::Sgc(w)) => e.forward_with(adj, x, w),
+            _ => {
+                *ws = self.workspace();
+                self.forward_with(adj, x, ws);
+            }
+        }
+    }
+
+    /// Backward pass given `d_out = ∂L/∂H`, after [`Self::forward_with`]
+    /// with the same `adj`, `x` and `ws`; read the weight gradients via
+    /// [`EncoderWorkspace::grads`].
+    ///
+    /// `ws` must hold this family's forward pass.
+    pub fn backward_with(
+        &self,
+        adj: &SparseMatrix,
+        x: &Matrix,
+        ws: &mut EncoderWorkspace,
+        d_out: &Matrix,
+    ) {
+        match (self, ws) {
+            (FrozenEncoder::Gcn(e), EncoderWorkspace::Gcn(w)) => e.backward_with(adj, w, d_out),
+            (FrozenEncoder::Sage(e), EncoderWorkspace::Sage(w)) => {
+                e.backward_with(adj, x, w, d_out)
+            }
+            (FrozenEncoder::Sgc(e), EncoderWorkspace::Sgc(w)) => e.backward_with(w, d_out),
+            _ => unreachable!("backward_with runs after this family's forward_with"),
+        }
+    }
+
+    /// [`Self::forward_with`], returning the embeddings.
     pub fn embed_with<'w>(
         &self,
         adj: &SparseMatrix,
         x: &Matrix,
         ws: &'w mut EncoderWorkspace,
     ) -> &'w Matrix {
-        let aligned = matches!(
-            (self, &*ws),
-            (FrozenEncoder::Gcn(_), EncoderWorkspace::Gcn(_))
-                | (FrozenEncoder::Sage(_), EncoderWorkspace::Sage(_))
-                | (FrozenEncoder::Sgc(_), EncoderWorkspace::Sgc(_))
-        );
-        if !aligned {
-            *ws = self.workspace();
-        }
-        match (self, ws) {
-            (FrozenEncoder::Gcn(e), EncoderWorkspace::Gcn(w)) => {
-                e.forward_with(adj, x, w);
-                w.output()
-            }
-            (FrozenEncoder::Sage(e), EncoderWorkspace::Sage(w)) => {
-                e.forward_with(adj, x, w);
-                w.output()
-            }
-            (FrozenEncoder::Sgc(e), EncoderWorkspace::Sgc(out)) => {
-                out.copy_from(&e.embed(adj, x));
-                out
-            }
-            _ => unreachable!("workspace family aligned above"),
-        }
+        self.forward_with(adj, x, ws);
+        ws.output()
     }
 }
 
@@ -214,6 +257,20 @@ mod tests {
                 let out = enc.embed_with(&adj, &x, &mut ws);
                 assert_eq!(out, &direct, "{}", enc.kind());
             }
+        }
+    }
+
+    #[test]
+    fn training_passes_dispatch_per_family() {
+        let (g, x) = graph();
+        let shapes = |m: &[Matrix]| m.iter().map(Matrix::shape).collect::<Vec<_>>();
+        for enc in families() {
+            let adj = enc.adjacency(&g);
+            let mut ws = enc.workspace();
+            enc.forward_with(&adj, &x, &mut ws);
+            let d_out = ws.output().clone();
+            enc.backward_with(&adj, &x, &mut ws, &d_out);
+            assert_eq!(shapes(ws.grads()), shapes(enc.params()), "{}", enc.kind());
         }
     }
 

@@ -15,6 +15,11 @@ pub struct GcnEncoder {
 }
 
 /// Activations cached by [`GcnEncoder::forward`] for the backward pass.
+///
+/// Kept only because `e2e_bench`'s `replay_full`/`replay_minibatch` replay
+/// training through the allocating pair; training itself runs
+/// [`GcnEncoder::forward_with`]/[`GcnEncoder::backward_with`]. Goes with
+/// that replay.
 #[derive(Debug)]
 pub struct GcnCache {
     /// `P^l = A_n H^l` for each layer input (the SpMM result pre-weights).
@@ -25,10 +30,10 @@ pub struct GcnCache {
 
 /// Reusable forward/backward buffers for one GCN data flow.
 ///
-/// [`GcnEncoder::forward_with`]/[`GcnEncoder::backward_with`] compute
-/// bit-identical results to [`GcnEncoder::forward`]/[`GcnEncoder::backward`]
-/// but write into these buffers instead of allocating: after the first
-/// (warm-up) epoch a forward/backward pair allocates zero new matrices.
+/// [`GcnEncoder::forward_with`]/[`GcnEncoder::backward_with`] are the
+/// training passes; they write into these buffers instead of allocating,
+/// so after the first (warm-up) epoch a forward/backward pair allocates
+/// zero new matrices.
 /// Keep one workspace per concurrent data flow — e.g. one per contrastive
 /// view — since the forward activations must survive until the matching
 /// backward.
@@ -138,9 +143,11 @@ impl GcnEncoder {
         &mut self.weights
     }
 
-    /// Forward pass returning the final embeddings and the cache for
-    /// [`Self::backward`]. `adj` must be the pre-normalised `A_n` of the
-    /// graph the features `x` live on.
+    /// Allocating forward pass returning the final embeddings and the cache
+    /// for [`Self::backward`], bit-identical to [`Self::forward_with`].
+    /// `adj` must be the pre-normalised `A_n` of the graph the features `x`
+    /// live on. Kept only for `e2e_bench`'s `replay_full`/`replay_minibatch`
+    /// (see [`GcnCache`]).
     pub fn forward(&self, adj: &SparseMatrix, x: &Matrix) -> (Matrix, GcnCache) {
         let l_num = self.weights.len();
         let mut propagated = Vec::with_capacity(l_num);
@@ -169,9 +176,9 @@ impl GcnEncoder {
         )
     }
 
-    /// [`Self::forward`] into a reusable workspace: bit-identical
-    /// embeddings (read them via [`GcnWorkspace::output`]) with zero matrix
-    /// allocations once the workspace is warm.
+    /// Training forward pass into `ws` (same `adj` as [`Self::embed`]): the
+    /// embeddings ([`GcnWorkspace::output`]) and the activations the
+    /// backward pass needs, with zero matrix allocations once `ws` is warm.
     pub fn forward_with(&self, adj: &SparseMatrix, x: &Matrix, ws: &mut GcnWorkspace) {
         let l_num = self.weights.len();
         ws.ensure_layers(l_num);
@@ -188,9 +195,10 @@ impl GcnEncoder {
         }
     }
 
-    /// [`Self::backward`] into the same workspace as the preceding
-    /// [`Self::forward_with`]: bit-identical per-layer gradients (read them
-    /// via [`GcnWorkspace::grads`]) with zero matrix allocations once warm.
+    /// Backward pass given `d_out = ∂L/∂H^L`, into the same workspace as the
+    /// preceding [`Self::forward_with`]: per-layer weight gradients
+    /// ([`GcnWorkspace::grads`], same shapes as [`Self::params`]) with zero
+    /// matrix allocations once warm.
     pub fn backward_with(&self, adj: &SparseMatrix, ws: &mut GcnWorkspace, d_out: &Matrix) {
         let l_num = self.weights.len();
         ws.dz.copy_from(d_out); // dL/dZ^{L-1} (final layer is linear)
@@ -221,8 +229,9 @@ impl GcnEncoder {
         h
     }
 
-    /// Backward pass: given `d_out = ∂L/∂H^L`, returns per-layer weight
-    /// gradients (same shapes as [`Self::params`]).
+    /// Allocating backward pass after [`Self::forward`], bit-identical to
+    /// [`Self::backward_with`]. Kept only for `e2e_bench`'s replays (see
+    /// [`GcnCache`]).
     pub fn backward(&self, adj: &SparseMatrix, cache: &GcnCache, d_out: &Matrix) -> Vec<Matrix> {
         let l_num = self.weights.len();
         let mut grads: Vec<Matrix> = Vec::with_capacity(l_num);
@@ -245,8 +254,8 @@ impl GcnEncoder {
     }
 
     /// Accumulates `scale * grads` into a gradient accumulator (allocating it
-    /// on first use). Used when a training step sums losses over several
-    /// forward passes (two positive views).
+    /// on first use), summing gradients over several allocating backward
+    /// passes. Only `e2e_bench`'s replays call it (see [`GcnCache`]).
     pub fn accumulate(acc: &mut Option<Vec<Matrix>>, grads: Vec<Matrix>, scale: f32) {
         match acc {
             None => {
@@ -301,13 +310,16 @@ mod tests {
     }
 
     /// Central finite-difference check of every weight gradient against the
-    /// analytic backward pass, with loss L = 0.5 * ||H||_F^2 (so dL/dH = H).
+    /// training backward pass, with loss L = 0.5 * ||H||_F^2 (so dL/dH = H).
     #[test]
     fn grad_check_weights() {
         let (adj, x) = tiny();
         let mut enc = GcnEncoder::new(&[3, 4, 2], &mut SeedRng::new(2));
-        let (h, cache) = enc.forward(&adj, &x);
-        let grads = enc.backward(&adj, &cache, &h);
+        let mut ws = GcnWorkspace::new();
+        enc.forward_with(&adj, &x, &mut ws);
+        let h = ws.output().clone();
+        enc.backward_with(&adj, &mut ws, &h);
+        let grads = ws.grads().to_vec();
         let eps = 1e-3f32;
         for (l, grad) in grads.iter().enumerate() {
             let (rows, cols) = enc.params()[l].shape();

@@ -2,10 +2,12 @@
 //! hand-derived gradients.
 //!
 //! The reproduction environment has no autodiff framework, so each building
-//! block implements an explicit `forward` that caches what its `backward`
-//! needs. The architectures are exactly the ones the paper trains:
+//! block implements an explicit backward pass. The architectures are
+//! exactly the ones the paper trains:
 //!
-//! * [`gcn::GcnEncoder`] — the Eq. (1) GCN `H^{l+1} = σ(A_n H^l W^l)`;
+//! * [`gcn::GcnEncoder`], [`sgc::SgcEncoder`], [`sage::SageEncoder`] — the
+//!   Eq. (1) GCN `H^{l+1} = σ(A_n H^l W^l)` and the other two members of
+//!   the §IV-C encoder-agnosticism set;
 //! * [`mlp::Linear`] / [`mlp::Mlp`] — projection heads and decoders;
 //! * [`loss`] — Eq. (5) margin contrastive loss, InfoNCE (GRACE/GCA), BCE,
 //!   softmax cross-entropy, cosine bootstrap (BGRL);
@@ -17,12 +19,19 @@
 //! * [`probe`] — the `l2`-regularised linear probe used by the evaluation
 //!   protocol (§V-A2), plus the link-prediction decoder;
 //! * [`ema`] — exponential-moving-average target parameters (BGRL/AFGRL);
-//! * [`frozen`] — inference-only [`frozen::FrozenEncoder`], the unit of
-//!   persistence and serving (`e2gcl-serve` artifacts);
-//! * the `*Workspace` types ([`gcn::GcnWorkspace`],
-//!   [`sage::SageWorkspace`], [`mlp::MlpWorkspace`]) and the `*_with` loss
-//!   variants let steady-state training epochs run without allocating new
-//!   matrices.
+//! * [`frozen`] — [`frozen::FrozenEncoder`], the one type over the three
+//!   encoder families: trained by the contrastive step, then the unit of
+//!   persistence and serving (`e2gcl-serve` artifacts).
+//!
+//! Each encoder and the MLP head has one training pass: `forward_with`
+//! writes the output and the activations its `backward_with` needs into a
+//! `*Workspace` ([`gcn::GcnWorkspace`], [`sgc::SgcWorkspace`],
+//! [`sage::SageWorkspace`], [`mlp::MlpWorkspace`];
+//! [`frozen::EncoderWorkspace`] over the families). Together with the
+//! `*_with` loss variants a steady-state epoch through warm workspaces
+//! allocates no new matrices. `embed` is the allocating inference pass.
+//! [`mlp::Linear`] keeps a caching `forward`/`backward` pair, and the GCN
+//! keeps one, [`gcn::GcnCache`], only for `e2e_bench`'s training replays.
 //!
 //! Every gradient is validated against central finite differences in the
 //! test suites (`grad check` tests in each module).
@@ -47,4 +56,4 @@ pub use gcn::{GcnEncoder, GcnWorkspace};
 pub use mlp::{Linear, Mlp, MlpWorkspace};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sage::{SageEncoder, SageWorkspace};
-pub use sgc::SgcEncoder;
+pub use sgc::{SgcEncoder, SgcWorkspace};

@@ -18,7 +18,7 @@ pub struct LinearCache {
 }
 
 /// Gradients of a linear layer.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LinearGrads {
     /// `∂L/∂W`.
     pub dw: Matrix,
@@ -88,23 +88,13 @@ pub struct Mlp {
     pub l2: Linear,
 }
 
-/// Cache for [`Mlp::backward`].
-#[derive(Debug)]
-pub struct MlpCache {
-    c1: LinearCache,
-    z1: Matrix,
-    c2: LinearCache,
-}
-
 /// Gradients of an MLP.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MlpGrads {
     /// First-layer gradients.
     pub g1: LinearGrads,
     /// Second-layer gradients.
     pub g2: LinearGrads,
-    /// `∂L/∂X`.
-    pub dx: Matrix,
 }
 
 /// Reusable forward/backward buffers for one [`Mlp`] data flow (projection
@@ -113,7 +103,7 @@ pub struct MlpGrads {
 ///
 /// The input is not cached: pass the *same* `x` to
 /// [`Mlp::backward_with`] that the preceding [`Mlp::forward_with`] saw.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MlpWorkspace {
     /// First-layer pre-activation `Z1`.
     z1: Matrix,
@@ -123,30 +113,9 @@ pub struct MlpWorkspace {
     y: Matrix,
     /// Backward: `∂L/∂A1`.
     da1: Matrix,
-    /// Gradients of both layers. `grads.dx` is left empty — read the input
-    /// gradient via [`MlpWorkspace::d_input`] instead.
+    /// Gradients of both layers; `grads.g1.dx` is the input gradient
+    /// ([`MlpWorkspace::d_input`]).
     grads: MlpGrads,
-}
-
-impl Default for MlpWorkspace {
-    fn default() -> Self {
-        let empty = || LinearGrads {
-            dw: Matrix::default(),
-            db: Vec::new(),
-            dx: Matrix::default(),
-        };
-        Self {
-            z1: Matrix::default(),
-            a1: Matrix::default(),
-            y: Matrix::default(),
-            da1: Matrix::default(),
-            grads: MlpGrads {
-                g1: empty(),
-                g2: empty(),
-                dx: Matrix::default(),
-            },
-        }
-    }
 }
 
 impl MlpWorkspace {
@@ -172,8 +141,8 @@ impl MlpWorkspace {
     }
 }
 
-/// Column sums of `m` into a reusable vector (the bias gradient), matching
-/// the accumulation order of [`Linear::backward`] exactly.
+/// Column sums of `m` into a reusable vector (the bias gradient), in the
+/// accumulation order of [`Linear::backward`].
 fn col_sums_into(m: &Matrix, out: &mut Vec<f32>, len: usize) {
     out.clear();
     out.resize(len, 0.0);
@@ -193,31 +162,11 @@ impl Mlp {
         }
     }
 
-    /// Forward pass with cache.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, MlpCache) {
-        let (z1, c1) = self.l1.forward(x);
-        let mut a1 = z1.clone();
-        activations::elu_inplace(&mut a1);
-        let (y, c2) = self.l2.forward(&a1);
-        (y, MlpCache { c1, z1, c2 })
-    }
-
     /// Inference-only forward.
     pub fn apply(&self, x: &Matrix) -> Matrix {
         let mut a1 = self.l1.apply(x);
         activations::elu_inplace(&mut a1);
         self.l2.apply(&a1)
-    }
-
-    /// Backward pass given `∂L/∂Y`.
-    pub fn backward(&self, cache: &MlpCache, dy: &Matrix) -> MlpGrads {
-        let g2 = self.l2.backward(&cache.c2, dy);
-        let mut da1 = g2.dx.clone();
-        let mask = activations::elu_grad_mask(&cache.z1);
-        da1.mul_assign_elem(&mask);
-        let g1 = self.l1.backward(&cache.c1, &da1);
-        let dx = g1.dx.clone();
-        MlpGrads { g1, g2, dx }
     }
 
     /// In-place SGD update.
@@ -226,8 +175,9 @@ impl Mlp {
         self.l2.step(&grads.g2, lr, weight_decay);
     }
 
-    /// [`Self::forward`] into a reusable workspace: bit-identical output
-    /// ([`MlpWorkspace::output`]), zero matrix allocations once warm.
+    /// Training forward pass into `ws`: the head output
+    /// ([`MlpWorkspace::output`]) and the activations the backward pass
+    /// needs, with zero matrix allocations once `ws` is warm.
     pub fn forward_with(&self, x: &Matrix, ws: &mut MlpWorkspace) {
         x.matmul_into(&self.l1.w, &mut ws.z1);
         ws.z1.add_row_broadcast(&self.l1.b);
@@ -237,9 +187,9 @@ impl Mlp {
         ws.y.add_row_broadcast(&self.l2.b);
     }
 
-    /// [`Self::backward`] into the same workspace as the preceding
-    /// [`Self::forward_with`] (pass the *same* `x`): bit-identical gradients
-    /// ([`MlpWorkspace::grads`], [`MlpWorkspace::d_input`]).
+    /// Backward pass given `∂L/∂Y`, into the same workspace as the preceding
+    /// [`Self::forward_with`] (pass the *same* `x`): layer gradients
+    /// ([`MlpWorkspace::grads`]) and `∂L/∂X` ([`MlpWorkspace::d_input`]).
     pub fn backward_with(&self, x: &Matrix, dy: &Matrix, ws: &mut MlpWorkspace) {
         ws.a1.transpose_matmul_into(dy, &mut ws.grads.g2.dw);
         col_sums_into(dy, &mut ws.grads.g2.db, self.l2.b.len());
@@ -311,8 +261,12 @@ mod tests {
         let mut rng = SeedRng::new(2);
         let m = Mlp::new(3, 4, 2, &mut rng);
         let x = Matrix::from_rows(&[&[0.5, -0.2, 0.8]]);
-        let (y, cache) = m.forward(&x);
-        let grads = m.backward(&cache, &y);
+        let mut ws = MlpWorkspace::new();
+        m.forward_with(&x, &mut ws);
+        let y = ws.output().clone();
+        assert_eq!(y, m.apply(&x));
+        m.backward_with(&x, &y, &mut ws);
+        let dx = ws.d_input();
         let eps = 1e-3;
         let mut xm = x.clone();
         for c in 0..3 {
@@ -324,32 +278,10 @@ mod tests {
             xm.set(0, c, orig);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
-                (fd - grads.dx.get(0, c)).abs() < 2e-2 * (1.0 + fd.abs()),
+                (fd - dx.get(0, c)).abs() < 2e-2 * (1.0 + fd.abs()),
                 "dX(0,{c}): {fd} vs {}",
-                grads.dx.get(0, c)
+                dx.get(0, c)
             );
-        }
-    }
-
-    /// Workspace path must be bit-identical to the allocating path.
-    #[test]
-    fn workspace_path_matches_allocating_path_bitwise() {
-        let mut rng = SeedRng::new(5);
-        let m = Mlp::new(3, 4, 2, &mut rng);
-        let x = Matrix::from_rows(&[&[0.5, -0.2, 0.8], &[-1.0, 0.3, 0.1]]);
-        let (y, cache) = m.forward(&x);
-        let grads = m.backward(&cache, &y);
-        let mut ws = MlpWorkspace::new();
-        for _ in 0..2 {
-            m.forward_with(&x, &mut ws);
-            assert_eq!(ws.output(), &y);
-            let dy = ws.output().clone();
-            m.backward_with(&x, &dy, &mut ws);
-            assert_eq!(ws.grads().g1.dw, grads.g1.dw);
-            assert_eq!(ws.grads().g1.db, grads.g1.db);
-            assert_eq!(ws.grads().g2.dw, grads.g2.dw);
-            assert_eq!(ws.grads().g2.db, grads.g2.db);
-            assert_eq!(ws.d_input(), &grads.dx);
         }
     }
 

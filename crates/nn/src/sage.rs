@@ -17,25 +17,12 @@ pub struct SageEncoder {
     num_layers: usize,
 }
 
-/// Cache for [`SageEncoder::backward`].
-#[derive(Debug)]
-pub struct SageCache {
-    /// Layer inputs `H^l`.
-    inputs: Vec<Matrix>,
-    /// Mean-aggregated inputs `D⁻¹ A H^l`.
-    aggregated: Vec<Matrix>,
-    /// Pre-activations `Z^l`.
-    pre_activation: Vec<Matrix>,
-}
-
-/// Reusable forward/backward buffers for one SAGE data flow
-/// (the scratch-layer counterpart of [`SageCache`]; see
+/// Reusable forward/backward buffers for one SAGE data flow (see
 /// [`crate::gcn::GcnWorkspace`] for the contract).
 ///
-/// Unlike the GCN workspace, layer *inputs* are not copied: layer 0 reads
-/// the caller's `x` directly (pass the same `x` to
-/// [`SageEncoder::backward_with`]) and deeper layers read the pooled
-/// `hidden` activations.
+/// Layer *inputs* are not copied: layer 0 reads the caller's `x` directly
+/// (pass the same `x` to [`SageEncoder::backward_with`]) and deeper layers
+/// read the pooled `hidden` activations.
 #[derive(Debug, Default)]
 pub struct SageWorkspace {
     /// Mean-aggregated inputs `D⁻¹ A H^l` per layer.
@@ -84,11 +71,6 @@ impl SageWorkspace {
     /// Gradients from the last [`SageEncoder::backward_with`].
     pub fn grads(&self) -> &[Matrix] {
         &self.grads
-    }
-
-    /// Mutable gradient views (accumulation, clipping, fault injection).
-    pub fn grads_mut(&mut self) -> &mut [Matrix] {
-        &mut self.grads
     }
 }
 
@@ -156,48 +138,26 @@ impl SageEncoder {
         &mut self.params
     }
 
-    /// Forward pass. `mean_adj` must be the row-stochastic aggregation
-    /// matrix (e.g. [`e2gcl_graph::norm::row_normalized_adjacency`]).
-    pub fn forward(&self, mean_adj: &SparseMatrix, x: &Matrix) -> (Matrix, SageCache) {
+    /// Inference-only forward. `mean_adj` must be the row-stochastic
+    /// aggregation matrix (e.g.
+    /// [`e2gcl_graph::norm::row_normalized_adjacency`]).
+    pub fn embed(&self, mean_adj: &SparseMatrix, x: &Matrix) -> Matrix {
         let l_num = self.num_layers;
-        let mut inputs = Vec::with_capacity(l_num);
-        let mut aggregated = Vec::with_capacity(l_num);
-        let mut pre_activation = Vec::with_capacity(l_num);
         let mut h = x.clone();
         for l in 0..l_num {
             let agg = mean_adj.spmm(&h);
-            let mut z = h.matmul(self.w_self(l));
-            z.add_assign(&agg.matmul(self.w_neigh(l)));
-            inputs.push(h);
-            aggregated.push(agg);
-            h = if l + 1 < l_num {
-                let mut a = z.clone();
-                activations::relu_inplace(&mut a);
-                pre_activation.push(z);
-                a
-            } else {
-                pre_activation.push(z.clone());
-                z
-            };
+            h = h.matmul(self.w_self(l));
+            h.add_assign(&agg.matmul(self.w_neigh(l)));
+            if l + 1 < l_num {
+                activations::relu_inplace(&mut h);
+            }
         }
-        (
-            h,
-            SageCache {
-                inputs,
-                aggregated,
-                pre_activation,
-            },
-        )
+        h
     }
 
-    /// Inference-only forward.
-    pub fn embed(&self, mean_adj: &SparseMatrix, x: &Matrix) -> Matrix {
-        self.forward(mean_adj, x).0
-    }
-
-    /// [`Self::forward`] into a reusable workspace: bit-identical
-    /// embeddings ([`SageWorkspace::output`]), zero matrix allocations once
-    /// the workspace is warm.
+    /// Training forward pass into `ws` (same `mean_adj` as [`Self::embed`]):
+    /// the embeddings ([`SageWorkspace::output`]) and the activations the
+    /// backward pass needs, with zero matrix allocations once `ws` is warm.
     pub fn forward_with(&self, mean_adj: &SparseMatrix, x: &Matrix, ws: &mut SageWorkspace) {
         let l_num = self.num_layers;
         ws.ensure_layers(l_num);
@@ -217,10 +177,11 @@ impl SageEncoder {
         }
     }
 
-    /// [`Self::backward`] into the same workspace as the preceding
-    /// [`Self::forward_with`] (pass the *same* `x`): bit-identical gradients
-    /// ([`SageWorkspace::grads`]). The transposed aggregation matrix is
-    /// still rebuilt per call — it tracks the per-epoch view graph.
+    /// Backward pass into the same workspace as the preceding
+    /// [`Self::forward_with`] (pass the *same* `x`): gradients in
+    /// [`Self::params`] order ([`SageWorkspace::grads`]). The transposed
+    /// aggregation matrix is rebuilt per call — it tracks the per-epoch view
+    /// graph.
     pub fn backward_with(
         &self,
         mean_adj: &SparseMatrix,
@@ -246,35 +207,6 @@ impl SageEncoder {
             }
         }
     }
-
-    /// Backward pass: gradients in [`Self::params`] order.
-    pub fn backward(
-        &self,
-        mean_adj: &SparseMatrix,
-        cache: &SageCache,
-        d_out: &Matrix,
-    ) -> Vec<Matrix> {
-        let l_num = self.num_layers;
-        let mut grads: Vec<Matrix> = Vec::with_capacity(2 * l_num);
-        let mut dz = d_out.clone();
-        let mean_adj_t = mean_adj.transpose();
-        for l in (0..l_num).rev() {
-            let dw_self = cache.inputs[l].transpose_matmul(&dz);
-            let dw_neigh = cache.aggregated[l].transpose_matmul(&dz);
-            if l > 0 {
-                // dH = dZ W_selfᵀ + Aᵀ(dZ W_neighᵀ), through ReLU.
-                let mut dh = dz.matmul_transpose(self.w_self(l));
-                dh.add_assign(&mean_adj_t.spmm(&dz.matmul_transpose(self.w_neigh(l))));
-                let mask = activations::relu_grad_mask(&cache.pre_activation[l - 1]);
-                dh.mul_assign_elem(&mask);
-                dz = dh;
-            }
-            grads.push(dw_neigh);
-            grads.push(dw_self);
-        }
-        grads.reverse();
-        grads
-    }
 }
 
 #[cfg(test)]
@@ -297,18 +229,24 @@ mod tests {
     fn forward_shapes() {
         let (adj, x) = setup();
         let enc = SageEncoder::new(&[3, 6, 2], &mut SeedRng::new(1));
-        let (h, cache) = enc.forward(&adj, &x);
-        assert_eq!(h.shape(), (5, 2));
-        assert_eq!(cache.inputs.len(), 2);
+        let mut ws = SageWorkspace::new();
+        enc.forward_with(&adj, &x, &mut ws);
+        assert_eq!(ws.output().shape(), (5, 2));
+        assert_eq!(ws.aggregated.len(), 2);
         assert_eq!(enc.params().len(), 4);
+        // The training pass embeds the same bits as inference.
+        assert_eq!(ws.output(), &enc.embed(&adj, &x));
     }
 
     #[test]
     fn grad_check_all_params() {
         let (adj, x) = setup();
         let mut enc = SageEncoder::new(&[3, 4, 2], &mut SeedRng::new(2));
-        let (h, cache) = enc.forward(&adj, &x);
-        let grads = enc.backward(&adj, &cache, &h); // L = 0.5||H||²
+        let mut ws = SageWorkspace::new();
+        enc.forward_with(&adj, &x, &mut ws);
+        let h = ws.output().clone();
+        enc.backward_with(&adj, &x, &mut ws, &h); // L = 0.5||H||²
+        let grads = ws.grads().to_vec();
         let eps = 1e-3f32;
         for (pi, _) in grads.iter().enumerate() {
             let (rows, cols) = grads[pi].shape();
@@ -340,23 +278,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// Workspace path must be bit-identical to the allocating path.
-    #[test]
-    fn workspace_path_matches_allocating_path_bitwise() {
-        let (adj, x) = setup();
-        let enc = SageEncoder::new(&[3, 6, 2], &mut SeedRng::new(9));
-        let (h, cache) = enc.forward(&adj, &x);
-        let grads = enc.backward(&adj, &cache, &h);
-        let mut ws = SageWorkspace::new();
-        for _ in 0..2 {
-            enc.forward_with(&adj, &x, &mut ws);
-            assert_eq!(ws.output(), &h);
-            let d_out = ws.output().clone();
-            enc.backward_with(&adj, &x, &mut ws, &d_out);
-            assert_eq!(ws.grads(), &grads[..]);
         }
     }
 

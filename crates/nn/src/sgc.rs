@@ -18,11 +18,30 @@ pub struct SgcEncoder {
     w: Matrix,
 }
 
-/// Cache for [`SgcEncoder::backward`].
-#[derive(Debug)]
-pub struct SgcCache {
+/// Reusable forward/backward buffers for one SGC data flow (see
+/// [`crate::gcn::GcnWorkspace`] for the contract).
+#[derive(Debug, Default)]
+pub struct SgcWorkspace {
     /// `A_n^L X` — the propagated features.
     propagated: Matrix,
+    /// Staging for one propagation step.
+    step: Matrix,
+    /// Embeddings `H = A_n^L X W`.
+    out: Matrix,
+    /// `[∂L/∂W]`, [`SgcEncoder::params`] order.
+    grads: Vec<Matrix>,
+}
+
+impl SgcWorkspace {
+    /// Embeddings from the last [`SgcEncoder::forward_with`].
+    pub fn output(&self) -> &Matrix {
+        &self.out
+    }
+
+    /// Weight gradient from the last [`SgcEncoder::backward_with`].
+    pub fn grads(&self) -> &[Matrix] {
+        &self.grads
+    }
 }
 
 impl SgcEncoder {
@@ -60,21 +79,28 @@ impl SgcEncoder {
         std::slice::from_ref(&self.w)
     }
 
-    /// Forward pass with cache.
-    pub fn forward(&self, adj: &SparseMatrix, x: &Matrix) -> (Matrix, SgcCache) {
-        let propagated = adj.spmm_power(x, self.layers);
-        let h = propagated.matmul(&self.w);
-        (h, SgcCache { propagated })
+    /// Training forward pass into `ws`: the embeddings
+    /// ([`SgcWorkspace::output`]) and the propagated features the backward
+    /// pass needs, with zero matrix allocations once `ws` is warm.
+    pub fn forward_with(&self, adj: &SparseMatrix, x: &Matrix, ws: &mut SgcWorkspace) {
+        ws.propagated.copy_from(x);
+        for _ in 0..self.layers {
+            adj.spmm_into(&ws.propagated, &mut ws.step);
+            std::mem::swap(&mut ws.propagated, &mut ws.step);
+        }
+        ws.propagated.matmul_into(&self.w, &mut ws.out);
+    }
+
+    /// Backward pass after [`Self::forward_with`] on the same `ws`:
+    /// `dW = (A_n^L X)^T dH` ([`SgcWorkspace::grads`]).
+    pub fn backward_with(&self, ws: &mut SgcWorkspace, d_out: &Matrix) {
+        ws.grads.resize_with(1, Matrix::default);
+        ws.propagated.transpose_matmul_into(d_out, &mut ws.grads[0]);
     }
 
     /// Inference-only forward.
     pub fn embed(&self, adj: &SparseMatrix, x: &Matrix) -> Matrix {
         adj.spmm_power(x, self.layers).matmul(&self.w)
-    }
-
-    /// Backward pass: `dW = (A_n^L X)^T dH`.
-    pub fn backward(&self, cache: &SgcCache, d_out: &Matrix) -> Vec<Matrix> {
-        vec![cache.propagated.transpose_matmul(d_out)]
     }
 }
 
@@ -96,6 +122,12 @@ mod tests {
         let enc = SgcEncoder::new(2, 3, 2, &mut SeedRng::new(0));
         let h = enc.embed(&adj, &x);
         assert_eq!(h.shape(), (4, 3));
+        // The training pass embeds the same bits, cold and warm.
+        let mut ws = SgcWorkspace::default();
+        for _ in 0..2 {
+            enc.forward_with(&adj, &x, &mut ws);
+            assert_eq!(ws.output(), &h);
+        }
         // Fully linear model: scaling the input scales the output.
         let mut x2 = x.clone();
         x2.scale(2.0);
@@ -109,8 +141,11 @@ mod tests {
     fn grad_check() {
         let (adj, x) = setup();
         let mut enc = SgcEncoder::new(2, 2, 2, &mut SeedRng::new(1));
-        let (h, cache) = enc.forward(&adj, &x);
-        let grads = enc.backward(&cache, &h); // L = 0.5||H||^2
+        let mut ws = SgcWorkspace::default();
+        enc.forward_with(&adj, &x, &mut ws);
+        let h = ws.output().clone();
+        enc.backward_with(&mut ws, &h); // L = 0.5||H||^2
+        let grads = ws.grads().to_vec();
         let eps = 1e-3f32;
         for r in 0..2 {
             for c in 0..2 {

@@ -54,9 +54,18 @@ fn cfg_with(loss: LossStrategy, minibatch: Option<MinibatchConfig>) -> TrainConf
     }
 }
 
+/// E²GCL with the given encoder family and every other setting default.
+fn e2gcl_with(encoder: EncoderKind) -> E2gclModel {
+    E2gclModel::new(E2gclConfig {
+        encoder,
+        ..E2gclConfig::default()
+    })
+}
+
 /// `(case name, model, config)`: every sub-quadratic strategy through both
 /// supporting models, full-batch and mini-batch, plus the full-loss
-/// mini-batch paths `golden_determinism.rs` does not cover.
+/// mini-batch paths `golden_determinism.rs` does not cover, the sampled
+/// E²GCL path once per encoder family.
 fn cases() -> Vec<(&'static str, Box<dyn ContrastiveModel>, TrainConfig)> {
     let full = LossStrategy::Full;
     let smallneg = LossStrategy::SmallNeg { negatives: 48 };
@@ -99,6 +108,16 @@ fn cases() -> Vec<(&'static str, Box<dyn ContrastiveModel>, TrainConfig)> {
         (
             "e2gcl-full-minibatch",
             Box::new(E2gclModel::default()),
+            cfg_with(full.clone(), mb.clone()),
+        ),
+        (
+            "e2gcl-full-minibatch-sage",
+            Box::new(e2gcl_with(EncoderKind::Sage)),
+            cfg_with(full.clone(), mb.clone()),
+        ),
+        (
+            "e2gcl-full-minibatch-sgc",
+            Box::new(e2gcl_with(EncoderKind::Sgc)),
             cfg_with(full, mb.clone()),
         ),
         (
@@ -126,7 +145,10 @@ fn cases() -> Vec<(&'static str, Box<dyn ContrastiveModel>, TrainConfig)> {
 /// step replaced them. `grace-localized-minibatch` was re-recorded once
 /// afterwards: the shared step hands the localized kernel its anchors in
 /// ascending order (DESIGN.md §15), as both E²GCL localized paths already
-/// did; the old GRACE step passed them in seed order. Any unintentional
+/// did; the old GRACE step passed them in seed order. The
+/// `e2gcl-full-minibatch-{sage,sgc}` entries were recorded while those
+/// families still trained through allocating caches, before their passes
+/// moved to workspaces. Any unintentional
 /// change is a determinism regression in the kernels, the sampled step or
 /// the per-epoch negative re-selection, not an update.
 const GOLDEN_SCALAR: &[(&str, u64)] = &[
@@ -137,6 +159,8 @@ const GOLDEN_SCALAR: &[(&str, u64)] = &[
     ("grace-localized-minibatch", 0xfb357f13ddcbb9d7),
     ("e2gcl-smallneg", 0xacf5adcd97d35859),
     ("e2gcl-full-minibatch", 0x4241e7673630504e),
+    ("e2gcl-full-minibatch-sage", 0x8c544f8d276789fc),
+    ("e2gcl-full-minibatch-sgc", 0x2e05cc4a49c51408),
     ("e2gcl-smallneg-minibatch", 0xd5dab0bc2f406d87),
     ("e2gcl-localized", 0x131fe52ed8ce4ac1),
     ("e2gcl-localized-minibatch", 0xe83a5206e54724aa),
@@ -153,6 +177,8 @@ const GOLDEN_AVX2: &[(&str, u64)] = &[
     ("grace-localized-minibatch", 0xaeb1a2482d2fa650),
     ("e2gcl-smallneg", 0x6d1dc5edda3e905a),
     ("e2gcl-full-minibatch", 0x678cffefed60e67b),
+    ("e2gcl-full-minibatch-sage", 0xe9a6a334f59f9326),
+    ("e2gcl-full-minibatch-sgc", 0x44bffe2390681d0c),
     ("e2gcl-smallneg-minibatch", 0x91c202d0c18abe99),
     ("e2gcl-localized", 0xacd48a79a7098d72),
     ("e2gcl-localized-minibatch", 0x7512bd514d38f672),
