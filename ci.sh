@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Repository CI gate. Run from the workspace root: ./ci.sh
 #
+# Every stage prints its elapsed wall seconds when it ends, and the script
+# prints the total when it exits, passing or failing (bash's SECONDS; this
+# measures, it gates nothing).
+#
 # Steps:
 #   1. cargo fmt --check          — formatting
 #   2. cargo clippy -D warnings   — lints across the whole workspace
@@ -91,16 +95,33 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo fmt --check"
+# Stage timing from bash's SECONDS: each stage's elapsed seconds print when
+# it ends, and the total when the script exits, on success or failure.
+stage_id=""
+stage_start=0
+end_stage() {
+    if [ -n "$stage_id" ]; then
+        echo "    stage $stage_id: $((SECONDS - stage_start)) s"
+    fi
+}
+stage() {
+    end_stage
+    stage_id=$1
+    stage_start=$SECONDS
+    echo "==> $2"
+}
+trap 'end_stage; echo "==> total: ${SECONDS} s"' EXIT
+
+stage 1 "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
+stage 2 "cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo test -q"
+stage 3 "cargo test -q"
 cargo test -q --workspace --offline
 
-echo "==> scalar-fallback goldens: E2GCL_KERNEL_CONFIG=scalar determinism suites"
+stage 3b "scalar-fallback goldens: E2GCL_KERNEL_CONFIG=scalar determinism suites"
 # The default run above validates the goldens for the host's dispatch path
 # (avx2 where available). Forcing the scalar path here proves the fallback
 # kernels still reproduce all committed scalar fingerprints (DESIGN.md §16),
@@ -110,7 +131,7 @@ E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl \
     --test golden_determinism --test loss_strategy_determinism \
     --test minibatch_equivalence --test resume_determinism
 
-echo "==> lint: no .unwrap()/panic! in non-test library code"
+stage 4 "lint: no .unwrap()/panic! in non-test library code"
 # Test modules in this codebase are trailing `#[cfg(test)] mod tests` blocks,
 # so everything before the first #[cfg(test)] is production code. Comment
 # lines (incl. doc comments) are skipped.
@@ -128,7 +149,7 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-echo "==> lint: NumericGuard::new only in the training engine, no Instant in models, no GcnCache users"
+stage 5 "lint: NumericGuard::new only in the training engine, no Instant in models, no GcnCache users"
 # Every model must train through EpochDriver; constructing a guard anywhere
 # else bypasses the engine's backoff/recovery sequencing. Same technique as
 # above: scan only production code (before the first #[cfg(test)]).
@@ -175,10 +196,10 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-echo "==> release smoke run: quickstart (EpochDriver end to end)"
+stage 6 "release smoke run: quickstart (EpochDriver end to end)"
 cargo run --release --offline -q -p e2gcl --example quickstart
 
-echo "==> serve smoke run: train -> save -> reload -> query"
+stage 7 "serve smoke run: train -> save -> reload -> query"
 # Exercises the artifact round trip and both --flag=value and --flag value
 # option syntaxes end to end through the CLI.
 cargo build --release --offline -q -p e2gcl-cli
@@ -195,7 +216,7 @@ echo "$query_out" | grep -q "top-5 cosine neighbours"
 inductive_out=$(target/release/e2gcl-cli query --artifact="$artifact" --node=1 --k=3 --mode=inductive)
 echo "$inductive_out" | grep -q "top-3 cosine neighbours"
 
-echo "==> crash-safety smoke: torn write -> quarantine -> resume"
+stage 8 "crash-safety smoke: torn write -> quarantine -> resume"
 # Simulate a crash mid-save: --fault-torn-write leaves a truncated artifact
 # (and exits non-zero), the next load must quarantine it to *.corrupt with a
 # typed error, and --resume must pick up the durable checkpoint the crashed
@@ -227,11 +248,11 @@ clean_q=$(target/release/e2gcl-cli query --artifact "$clean_artifact" --node 0 -
 [ "$resumed_q" = "$clean_q" ]                  # resume converged on the clean answers
 rm -f "$crash_artifact" "$crash_artifact.corrupt" "$crash_ckpt" "$clean_artifact"
 
-echo "==> kernel bench smoke: scalar/blocked/simd tiers + loss n-scaling gate + committed-baseline perf regression"
+stage 9 "kernel bench smoke: scalar/blocked/simd tiers + loss n-scaling gate + committed-baseline perf regression"
 cargo run --release --offline -q -p e2gcl-bench --bin kernel_bench -- --quick
 test -s target/bench-results/kernel_bench_quick.json
 
-echo "==> mini-batch smoke: sampled subgraph training + durable resume"
+stage 10 "mini-batch smoke: sampled subgraph training + durable resume"
 # Train GRACE on neighbour-sampled mini-batches with a durable checkpoint,
 # then re-run with --resume: the checkpoint records the final epoch, so the
 # resumed run restores it and must serve the same answers. (The artifact
@@ -253,7 +274,7 @@ mb_q2=$(target/release/e2gcl-cli query --artifact "$mb_resumed" --node 0 --k 5)
 [ "$mb_q1" = "$mb_q2" ]            # resume reproduced the run's answers
 rm -f "$mb_artifact" "$mb_resumed" "$mb_ckpt"
 
-echo "==> loss strategy smoke: CLI --loss smallneg/localized end to end"
+stage 11 "loss strategy smoke: CLI --loss smallneg/localized end to end"
 # The sub-quadratic loss kernels through the CLI surface: a smallneg and a
 # localized pre-train must both succeed, and an unknown strategy must be a
 # usage error (exit 2), not a panic. So must a misspelled flag, which the
@@ -277,11 +298,11 @@ if [ "$code" -ne 2 ]; then
 fi
 rm -f target/ci-loss-smallneg.json target/ci-loss-localized.json
 
-echo "==> scale bench smoke: mini-batch + full-batch smallneg on the streaming 1M-tier analog"
+stage 12 "scale bench smoke: mini-batch + full-batch smallneg on the streaming 1M-tier analog"
 cargo run --release --offline -q -p e2gcl-bench --bin scale_bench -- --quick
 test -s target/bench-results/scale_bench_quick.json
 
-echo "==> ANN index smoke: deterministic build, recall gate, indexed serving"
+stage 13 "ANN index smoke: deterministic build, recall gate, indexed serving"
 # Reuses the artifact trained by the serve smoke stage. build-index prints a
 # measured recall over evenly-spaced stored queries; gate it at the 0.95
 # contract, then prove the build is reproducible by rebuilding to the same
@@ -314,11 +335,11 @@ grep -q '"loadgen"' "$bench_json"              # ...alongside the load-generator
 [ "$(cksum BENCH_serve.json)" = "$serve_record" ]  # the committed record is untouched
 rm -f "$ix_a" "$ix_b" "$bench_json"
 
-echo "==> serve bench smoke: latency/ANN/loadgen quick tiers + recorded baseline"
+stage 14 "serve bench smoke: latency/ANN/loadgen quick tiers + recorded baseline"
 cargo run --release --offline -q -p e2gcl-bench --bin serve_latency -- --quick
 test -s target/bench-results/serve_latency_quick.json
 
-echo "==> end-to-end bench smoke: every workload's output checks + traced train_full/train_minibatch replays"
+stage 15 "end-to-end bench smoke: every workload's output checks + traced train_full/train_minibatch replays"
 e2e="cargo run --release --offline -q -p e2gcl-bench --bin e2e_bench --"
 $e2e --workload all --seconds 1
 $e2e --workload train_full --trace 1 --seconds 1

@@ -19,6 +19,7 @@
 
 use e2gcl_linalg::{Matrix, TrainError};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// What the guard does when an epoch fails its health check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -310,6 +311,14 @@ impl FaultPlan {
             if let Some(v) = x.as_mut_slice().first_mut() {
                 *v = f32::NAN;
             }
+        }
+    }
+
+    /// [`Self::corrupt_features`] on borrowed-or-owned view features: a
+    /// borrowed matrix is copied only on a scheduled epoch.
+    pub(crate) fn corrupt_view_features(&self, epoch: usize, x: &mut Cow<'_, Matrix>) {
+        if self.nan_features_at.contains(&epoch) {
+            self.corrupt_features(epoch, x.to_mut());
         }
     }
 }

@@ -1,12 +1,14 @@
 //! BGRL (Thakoor et al. 2021) and AFGRL (Lee et al. 2022).
 //!
-//! Both are negative-free bootstrap learners: an online GCN + predictor is
-//! trained to match an EMA *target* encoder, which never receives
-//! gradients. BGRL feeds the two branches different corrupted views; AFGRL
-//! is augmentation-free — both branches see the original graph and each
-//! node's bootstrap target is the mean target-embedding of its *adaptive
-//! positives* (neighbours that are also nearest neighbours in target
-//! embedding space), which is the mechanism AFGRL contributes.
+//! Both are negative-free bootstrap learners and train through one step,
+//! `BootstrapStep`: an online GCN + predictor is trained to match an EMA
+//! *target* encoder, which never receives gradients. The models differ
+//! only in their `Branches`. BGRL feeds two branches different corrupted
+//! views, each predicting the other's target; AFGRL is augmentation-free —
+//! its one branch sees the original graph and each node's bootstrap target
+//! is the mean target-embedding of its *adaptive positives* (neighbours
+//! that are also nearest neighbours in target embedding space), which is
+//! the mechanism AFGRL contributes.
 
 use crate::config::TrainConfig;
 use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
@@ -15,6 +17,7 @@ use e2gcl_graph::{norm, CsrGraph, SparseMatrix};
 use e2gcl_linalg::{ops, Matrix, SeedRng, TrainError};
 use e2gcl_nn::{ema, loss, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace, Mlp, MlpWorkspace};
 use e2gcl_views::uniform;
+use std::borrow::Cow;
 
 /// Shared configuration of the bootstrap models.
 #[derive(Clone, Debug)]
@@ -86,122 +89,184 @@ impl ContrastiveModel for BgrlModel {
     ) -> Result<PretrainResult, TrainError> {
         crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
         let driver = EpochDriver::new(cfg);
-        let adj_orig = norm::normalized_adjacency(g);
-        let dims = cfg.encoder_dims(x.cols());
-        let online = GcnEncoder::new(&dims, &mut rng.fork("online"));
-        let target = online.clone();
+        let mut step = BootstrapStep::new(g, x, &self.config, cfg, rng, |rng| {
+            Branches::Corrupted(rng.fork("train"))
+        });
+        driver.run(&mut step)
+    }
+}
+
+impl ContrastiveModel for AfgrlModel {
+    fn name(&self) -> String {
+        "AFGRL".to_string()
+    }
+
+    fn pretrain(
+        &self,
+        g: &CsrGraph,
+        x: &Matrix,
+        cfg: &TrainConfig,
+        rng: &mut SeedRng,
+    ) -> Result<PretrainResult, TrainError> {
+        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
+        let driver = EpochDriver::new(cfg);
+        // No "train" fork: the branch draws nothing, and a fork would
+        // advance the caller's stream.
+        let mut step = BootstrapStep::new(g, x, &self.config, cfg, rng, |_| Branches::Original);
+        driver.run(&mut step)
+    }
+}
+
+/// How a bootstrap model builds its branches and their targets each epoch.
+enum Branches {
+    /// BGRL: two uniformly corrupted views (drawn from the held stream),
+    /// each predicting the other's target.
+    Corrupted(SeedRng),
+    /// AFGRL: the original graph, predicting each node's adaptive
+    /// positives.
+    Original,
+}
+
+/// One branch's buffers: the online encoder pass, the predictor pass and
+/// the predictor's output gradient.
+#[derive(Default)]
+struct Branch {
+    ws: GcnWorkspace,
+    pws: MlpWorkspace,
+    d_pred: Matrix,
+}
+
+/// One bootstrap epoch (BGRL, AFGRL): encode every branch with the online
+/// encoder, run [`bootstrap_step`] per branch in order (the predictor steps
+/// between branches), and sum the branches' encoder gradients into the
+/// first. The loss is the mean over branches; the target is refreshed by
+/// the annealed EMA in `apply`.
+struct BootstrapStep<'a> {
+    config: &'a BgrlConfig,
+    g: &'a CsrGraph,
+    x: &'a Matrix,
+    cfg: &'a TrainConfig,
+    adj: SparseMatrix,
+    online: GcnEncoder,
+    target: GcnEncoder,
+    predictor: Mlp,
+    opt: Adam,
+    branches: Branches,
+    buffers: Vec<Branch>,
+}
+
+impl<'a> BootstrapStep<'a> {
+    /// Forks `"online"` and `"pred"` off `rng`, then lets `branches` take
+    /// whatever stream it needs.
+    fn new(
+        g: &'a CsrGraph,
+        x: &'a Matrix,
+        config: &'a BgrlConfig,
+        cfg: &'a TrainConfig,
+        rng: &mut SeedRng,
+        branches: impl FnOnce(&mut SeedRng) -> Branches,
+    ) -> Self {
+        let online = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("online"));
         let predictor = Mlp::new(
             cfg.embed_dim,
             cfg.embed_dim * 2,
             cfg.embed_dim,
             &mut rng.fork("pred"),
         );
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let train_rng = rng.fork("train");
-        driver.run(&mut BgrlStep {
-            config: &self.config,
+        let branches = branches(rng);
+        Self {
+            config,
             g,
             x,
             cfg,
-            adj_orig,
+            adj: norm::normalized_adjacency(g),
+            target: online.clone(),
             online,
-            target,
             predictor,
-            opt,
-            train_rng,
-            ws1: GcnWorkspace::new(),
-            ws2: GcnWorkspace::new(),
-            pws1: MlpWorkspace::new(),
-            pws2: MlpWorkspace::new(),
-            dp1: Matrix::default(),
-            dp2: Matrix::default(),
-        })
+            opt: Adam::with_weight_decay(cfg.lr, cfg.weight_decay),
+            branches,
+            buffers: Vec::new(),
+        }
     }
 }
 
-/// One BGRL epoch: two corrupted views, symmetric bootstrap against the EMA
-/// target, online-encoder gradients staged for the engine.
-struct BgrlStep<'a> {
-    config: &'a BgrlConfig,
-    g: &'a CsrGraph,
-    x: &'a Matrix,
-    cfg: &'a TrainConfig,
-    adj_orig: SparseMatrix,
-    online: GcnEncoder,
-    target: GcnEncoder,
-    predictor: Mlp,
-    opt: Adam,
-    train_rng: SeedRng,
-    ws1: GcnWorkspace,
-    ws2: GcnWorkspace,
-    pws1: MlpWorkspace,
-    pws2: MlpWorkspace,
-    dp1: Matrix,
-    dp2: Matrix,
-}
-
-impl EpochStep for BgrlStep<'_> {
+impl EpochStep for BootstrapStep<'_> {
     fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let g1 = uniform::drop_edges_uniform(self.g, self.config.drop_edge.0, &mut self.train_rng);
-        let g2 = uniform::drop_edges_uniform(self.g, self.config.drop_edge.1, &mut self.train_rng);
-        let mut x1 =
-            uniform::mask_feature_dims(self.x, self.config.mask_feat.0, &mut self.train_rng);
-        let x2 = uniform::mask_feature_dims(self.x, self.config.mask_feat.1, &mut self.train_rng);
-        cx.fault.corrupt_features(cx.epoch, &mut x1);
-        let a1 = norm::normalized_adjacency(&g1);
-        let a2 = norm::normalized_adjacency(&g2);
-        self.online.forward_with(&a1, &x1, &mut self.ws1);
-        self.online.forward_with(&a2, &x2, &mut self.ws2);
-        let t1 = self.target.embed(&a1, &x1);
-        let t2 = self.target.embed(&a2, &x2);
-        // Symmetric bootstrap: predict the other branch's target. The
-        // predictor steps inside the epoch, before the guard verdict: on a
-        // retry only the encoder update is discarded (as before).
-        let la = bootstrap_step(
-            &mut self.predictor,
-            self.ws1.output(),
-            &t2,
-            cx.lr,
-            &mut self.pws1,
-            &mut self.dp1,
-        );
-        let lb = bootstrap_step(
-            &mut self.predictor,
-            self.ws2.output(),
-            &t1,
-            cx.lr,
-            &mut self.pws2,
-            &mut self.dp2,
-        );
-        self.online
-            .backward_with(&a1, &mut self.ws1, self.pws1.d_input());
-        self.online
-            .backward_with(&a2, &mut self.ws2, self.pws2.d_input());
-        for (acc, g) in self.ws1.grads_mut().iter_mut().zip(self.ws2.grads()) {
-            acc.axpy(1.0, g);
+        let mut views: Vec<(Cow<'_, SparseMatrix>, Cow<'_, Matrix>)> = match &mut self.branches {
+            Branches::Corrupted(rng) => {
+                let (de, mf) = (self.config.drop_edge, self.config.mask_feat);
+                let g1 = uniform::drop_edges_uniform(self.g, de.0, rng);
+                let g2 = uniform::drop_edges_uniform(self.g, de.1, rng);
+                let x1 = uniform::mask_feature_dims(self.x, mf.0, rng);
+                let x2 = uniform::mask_feature_dims(self.x, mf.1, rng);
+                vec![
+                    (Cow::Owned(norm::normalized_adjacency(&g1)), Cow::Owned(x1)),
+                    (Cow::Owned(norm::normalized_adjacency(&g2)), Cow::Owned(x2)),
+                ]
+            }
+            Branches::Original => vec![(Cow::Borrowed(&self.adj), Cow::Borrowed(self.x))],
+        };
+        cx.fault.corrupt_view_features(cx.epoch, &mut views[0].1);
+        self.buffers.resize_with(views.len(), Branch::default);
+        let mut targets: Vec<Matrix> = views
+            .iter()
+            .map(|(adj, x)| self.target.embed(adj, x))
+            .collect();
+        match self.branches {
+            Branches::Corrupted(_) => targets.reverse(),
+            Branches::Original => {
+                targets[0] = afgrl_positive_targets(self.g, &targets[0], self.config.knn);
+            }
         }
-        let embeddings_bad = cx
-            .guard
-            .embeddings_bad(&[self.ws1.output(), self.ws2.output()]);
+        for ((adj, x), b) in views.iter().zip(&mut self.buffers) {
+            self.online.forward_with(adj, x, &mut b.ws);
+        }
+        // The predictor steps inside the epoch, before the guard verdict:
+        // on a retry only the encoder update is discarded.
+        let mut total = 0.0f32;
+        for (b, target) in self.buffers.iter_mut().zip(&targets) {
+            total += bootstrap_step(
+                &mut self.predictor,
+                b.ws.output(),
+                target,
+                cx.lr,
+                &mut b.pws,
+                &mut b.d_pred,
+            );
+        }
+        for ((adj, _), b) in views.iter().zip(&mut self.buffers) {
+            self.online.backward_with(adj, &mut b.ws, b.pws.d_input());
+        }
+        let (first, rest) = self
+            .buffers
+            .split_first_mut()
+            .expect("a bootstrap step has a branch");
+        for b in rest.iter() {
+            for (acc, g) in first.ws.grads_mut().iter_mut().zip(b.ws.grads()) {
+                acc.axpy(1.0, g);
+            }
+        }
+        let outputs: Vec<&Matrix> = self.buffers.iter().map(|b| b.ws.output()).collect();
         EpochOutcome::Step {
-            loss: 0.5 * (la + lb),
-            embeddings_bad,
+            loss: total / self.buffers.len() as f32,
+            embeddings_bad: cx.guard.embeddings_bad(&outputs),
         }
     }
 
     fn grads_mut(&mut self) -> &mut [Matrix] {
-        self.ws1.grads_mut()
+        self.buffers[0].ws.grads_mut()
     }
 
     fn apply(&mut self, epoch: usize, lr: f32, _loss: f32) {
         self.opt.lr = lr;
-        self.opt.step(self.online.params_mut(), self.ws1.grads());
+        self.opt
+            .step(self.online.params_mut(), self.buffers[0].ws.grads());
         let decay = ema::annealed_decay(self.config.ema_decay, epoch, self.cfg.epochs);
         ema::ema_update(self.target.params_mut(), self.online.params(), decay);
     }
 
     fn embed(&mut self) -> Matrix {
-        self.online.embed(&self.adj_orig, self.x)
+        self.online.embed(&self.adj, self.x)
     }
 }
 
@@ -233,103 +298,6 @@ fn afgrl_positive_targets(g: &CsrGraph, target_h: &Matrix, knn: usize) -> Matrix
         }
     }
     out
-}
-
-impl ContrastiveModel for AfgrlModel {
-    fn name(&self) -> String {
-        "AFGRL".to_string()
-    }
-
-    fn pretrain(
-        &self,
-        g: &CsrGraph,
-        x: &Matrix,
-        cfg: &TrainConfig,
-        rng: &mut SeedRng,
-    ) -> Result<PretrainResult, TrainError> {
-        crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
-        let driver = EpochDriver::new(cfg);
-        let adj = norm::normalized_adjacency(g);
-        let dims = cfg.encoder_dims(x.cols());
-        let online = GcnEncoder::new(&dims, &mut rng.fork("online"));
-        let target = online.clone();
-        let predictor = Mlp::new(
-            cfg.embed_dim,
-            cfg.embed_dim * 2,
-            cfg.embed_dim,
-            &mut rng.fork("pred"),
-        );
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        driver.run(&mut AfgrlStep {
-            config: &self.config,
-            g,
-            x,
-            cfg,
-            adj,
-            online,
-            target,
-            predictor,
-            opt,
-            ws: GcnWorkspace::new(),
-            pws: MlpWorkspace::new(),
-            dp: Matrix::default(),
-        })
-    }
-}
-
-/// One AFGRL epoch: augmentation-free bootstrap against adaptive positives
-/// in the EMA target's embedding space.
-struct AfgrlStep<'a> {
-    config: &'a BgrlConfig,
-    g: &'a CsrGraph,
-    x: &'a Matrix,
-    cfg: &'a TrainConfig,
-    adj: SparseMatrix,
-    online: GcnEncoder,
-    target: GcnEncoder,
-    predictor: Mlp,
-    opt: Adam,
-    ws: GcnWorkspace,
-    pws: MlpWorkspace,
-    dp: Matrix,
-}
-
-impl EpochStep for AfgrlStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        self.online.forward_with(&self.adj, self.x, &mut self.ws);
-        let t = self.target.embed(&self.adj, self.x);
-        let positives = afgrl_positive_targets(self.g, &t, self.config.knn);
-        let l = bootstrap_step(
-            &mut self.predictor,
-            self.ws.output(),
-            &positives,
-            cx.lr,
-            &mut self.pws,
-            &mut self.dp,
-        );
-        self.online
-            .backward_with(&self.adj, &mut self.ws, self.pws.d_input());
-        let embeddings_bad = cx.guard.embeddings_bad(&[self.ws.output()]);
-        EpochOutcome::Step {
-            loss: l,
-            embeddings_bad,
-        }
-    }
-
-    fn grads_mut(&mut self) -> &mut [Matrix] {
-        self.ws.grads_mut()
-    }
-
-    fn apply(&mut self, epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt.step(self.online.params_mut(), self.ws.grads());
-        let decay = ema::annealed_decay(self.config.ema_decay, epoch, self.cfg.epochs);
-        ema::ema_update(self.target.params_mut(), self.online.params(), decay);
-    }
-
-    fn embed(&mut self) -> Matrix {
-        self.online.embed(&self.adj, self.x)
-    }
 }
 
 #[cfg(test)]

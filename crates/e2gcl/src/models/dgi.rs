@@ -1,8 +1,14 @@
-//! Deep Graph Infomax (Veličković et al. 2019).
+//! Deep Graph Infomax (Veličković et al. 2019), and the local–global
+//! contrast mode it shares with MVGRL.
 //!
-//! Maximises mutual information between node embeddings and a graph-level
-//! summary: positives are real nodes, negatives come from a feature-shuffled
-//! corruption, and a bilinear discriminator tells them apart.
+//! DGI maximises mutual information between node embeddings and a
+//! graph-level summary: positives are real nodes, negatives come from a
+//! feature-shuffled corruption, and a bilinear discriminator tells them
+//! apart. `LocalGlobalStep` is that contrast over a list of views, each
+//! with its own GCN encoder: the nodes of view `i` are scored against the
+//! summary of view `(i + 1) mod V`. DGI is the one-view case, scored
+//! against its own summary; MVGRL ([`crate::models::mvgrl`]) passes two
+//! views and so scores across them.
 
 use crate::config::TrainConfig;
 use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
@@ -10,7 +16,9 @@ use crate::models::{ContrastiveModel, PretrainResult};
 use e2gcl_graph::{norm, CsrGraph, SparseMatrix};
 use e2gcl_linalg::init;
 use e2gcl_linalg::{activations, ops, Matrix, SeedRng, TrainError};
-use e2gcl_nn::{loss, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace};
+use e2gcl_nn::{loss, optim, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace};
+use e2gcl_views::uniform;
+use std::borrow::Cow;
 
 /// Bilinear discriminator `D(h, s) = h^T W s` shared by DGI and MVGRL.
 #[derive(Clone, Debug)]
@@ -74,7 +82,7 @@ impl BilinearDiscriminator {
 }
 
 /// Sigmoid readout summary `s = σ(mean_v h_v)` with its backward helper.
-pub fn summary(h: &Matrix) -> (Vec<f32>, Vec<f32>) {
+fn summary(h: &Matrix) -> (Vec<f32>, Vec<f32>) {
     let mean = h.col_means();
     let s: Vec<f32> = mean.iter().map(|&m| activations::sigmoid(m)).collect();
     // σ'(m) = s(1−s), needed to push ds back into dH.
@@ -83,7 +91,7 @@ pub fn summary(h: &Matrix) -> (Vec<f32>, Vec<f32>) {
 }
 
 /// Spreads `ds` through the sigmoid-mean readout into every row of `dh`.
-pub fn summary_backward(dh: &mut Matrix, ds: &[f32], dsig: &[f32]) {
+fn summary_backward(dh: &mut Matrix, ds: &[f32], dsig: &[f32]) {
     let n = dh.rows().max(1) as f32;
     let per_row: Vec<f32> = ds.iter().zip(dsig).map(|(&d, &g)| d * g / n).collect();
     for v in 0..dh.rows() {
@@ -92,7 +100,7 @@ pub fn summary_backward(dh: &mut Matrix, ds: &[f32], dsig: &[f32]) {
 }
 
 /// Row-shuffled copy of `x` — DGI's corruption function.
-pub fn shuffle_rows(x: &Matrix, rng: &mut SeedRng) -> Matrix {
+fn shuffle_rows(x: &Matrix, rng: &mut SeedRng) -> Matrix {
     let mut perm: Vec<usize> = (0..x.rows()).collect();
     rng.shuffle(&mut perm);
     x.select_rows(&perm)
@@ -101,36 +109,6 @@ pub fn shuffle_rows(x: &Matrix, rng: &mut SeedRng) -> Matrix {
 /// The DGI model.
 #[derive(Clone, Debug, Default)]
 pub struct DgiModel;
-
-impl DgiModel {
-    /// One discriminator pass: returns `(loss, dH_real, dH_corrupt, grads)`.
-    #[allow(clippy::type_complexity)]
-    fn discriminate(
-        disc: &BilinearDiscriminator,
-        h_real: &Matrix,
-        h_corrupt: &Matrix,
-    ) -> (f32, Matrix, Matrix, Matrix) {
-        let (s, dsig) = summary(h_real);
-        let pos_logits = disc.score(h_real, &s);
-        let neg_logits = disc.score(h_corrupt, &s);
-        let n = h_real.rows();
-        let mut logits = pos_logits;
-        logits.extend(neg_logits);
-        let mut targets = vec![1.0f32; n];
-        targets.extend(std::iter::repeat_n(0.0, n));
-        let (l, dlogits) = loss::bce_with_logits(&logits, &targets);
-        let gp = disc.backward(h_real, &s, &dlogits[..n]);
-        let gn = disc.backward(h_corrupt, &s, &dlogits[n..]);
-        let mut d_real = gp.dh;
-        let d_corrupt = gn.dh;
-        // Summary gradient flows into the real embeddings.
-        let ds_total: Vec<f32> = gp.ds.iter().zip(&gn.ds).map(|(a, b)| a + b).collect();
-        summary_backward(&mut d_real, &ds_total, &dsig);
-        let mut dw = gp.dw;
-        dw.add_assign(&gn.dw);
-        (l, d_real, d_corrupt, dw)
-    }
-}
 
 impl ContrastiveModel for DgiModel {
     fn name(&self) -> String {
@@ -146,87 +124,191 @@ impl ContrastiveModel for DgiModel {
     ) -> Result<PretrainResult, TrainError> {
         crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
         let driver = EpochDriver::new(cfg);
-        let adj: SparseMatrix = norm::normalized_adjacency(g);
+        let adj = norm::normalized_adjacency(g);
         let encoder = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("init"));
-        let disc = BilinearDiscriminator::new(cfg.embed_dim, &mut rng.fork("disc"));
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let disc_opt = Adam::new(cfg.lr);
-        let train_rng = rng.fork("train");
-        driver.run(&mut DgiStep {
+        driver.run(&mut LocalGlobalStep::new(
             x,
-            adj,
-            encoder,
-            disc,
-            opt,
-            disc_opt,
-            train_rng,
-            ws_real: GcnWorkspace::new(),
-            ws_corrupt: GcnWorkspace::new(),
-            dw: Matrix::default(),
-        })
+            None,
+            vec![(adj, encoder)],
+            cfg,
+            rng,
+        ))
     }
 }
 
-/// One DGI epoch: real vs feature-shuffled embeddings scored against the
-/// sigmoid-mean summary by the bilinear discriminator.
-struct DgiStep<'a> {
-    x: &'a Matrix,
+/// One view of a [`LocalGlobalStep`]: its adjacency, its own encoder and
+/// optimiser, and workspaces for the real and the corrupt pass.
+struct View {
     adj: SparseMatrix,
     encoder: GcnEncoder,
-    disc: BilinearDiscriminator,
     opt: Adam,
+    real: GcnWorkspace,
+    corrupt: GcnWorkspace,
+}
+
+/// One local–global epoch (DGI, MVGRL): every view encodes its real and the
+/// row-shuffled features, and the bilinear discriminator scores view `i`
+/// against the sigmoid-mean summary of view `(i + 1) mod V`.
+///
+/// The float order is fixed: logits are the positives in view order, then
+/// the negatives; a summary's gradient is the sum of the positive and the
+/// negative `ds` of the view scored against it; the discriminator gradient
+/// sums the positive terms, then the negative ones, left to right.
+pub(crate) struct LocalGlobalStep<'a> {
+    x: &'a Matrix,
+    /// Uniform feature perturbation drawn per view each epoch (MVGRL+FP).
+    perturb: Option<f32>,
+    views: Vec<View>,
+    disc: BilinearDiscriminator,
     disc_opt: Adam,
     train_rng: SeedRng,
-    ws_real: GcnWorkspace,
-    ws_corrupt: GcnWorkspace,
     /// Discriminator gradient of the current epoch (auxiliary: scanned via
-    /// `aux_grads_bad`, stepped in `apply`, never clipped — as before).
+    /// `aux_grads_bad`, stepped in `apply`, never clipped).
     dw: Matrix,
 }
 
-impl EpochStep for DgiStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let x_corrupt = shuffle_rows(self.x, &mut self.train_rng);
-        self.encoder
-            .forward_with(&self.adj, self.x, &mut self.ws_real);
-        self.encoder
-            .forward_with(&self.adj, &x_corrupt, &mut self.ws_corrupt);
-        let (l, d_real, d_corrupt, dw) =
-            DgiModel::discriminate(&self.disc, self.ws_real.output(), self.ws_corrupt.output());
-        self.dw = dw;
-        self.encoder
-            .backward_with(&self.adj, &mut self.ws_real, &d_real);
-        self.encoder
-            .backward_with(&self.adj, &mut self.ws_corrupt, &d_corrupt);
-        for (acc, g) in self
-            .ws_real
-            .grads_mut()
-            .iter_mut()
-            .zip(self.ws_corrupt.grads())
-        {
-            acc.axpy(1.0, g);
+impl<'a> LocalGlobalStep<'a> {
+    /// A step over `views` (`(adjacency, encoder)` pairs, built by the
+    /// model). Forks `"disc"` then `"train"` off `rng`, after the model's
+    /// own encoder forks.
+    pub(crate) fn new(
+        x: &'a Matrix,
+        perturb: Option<f32>,
+        views: Vec<(SparseMatrix, GcnEncoder)>,
+        cfg: &TrainConfig,
+        rng: &mut SeedRng,
+    ) -> Self {
+        let disc = BilinearDiscriminator::new(cfg.embed_dim, &mut rng.fork("disc"));
+        let views = views
+            .into_iter()
+            .map(|(adj, encoder)| View {
+                adj,
+                encoder,
+                opt: Adam::with_weight_decay(cfg.lr, cfg.weight_decay),
+                real: GcnWorkspace::new(),
+                corrupt: GcnWorkspace::new(),
+            })
+            .collect();
+        Self {
+            x,
+            perturb,
+            views,
+            disc,
+            disc_opt: Adam::new(cfg.lr),
+            train_rng: rng.fork("train"),
+            dw: Matrix::default(),
         }
-        let embeddings_bad = cx
-            .guard
-            .embeddings_bad(&[self.ws_real.output(), self.ws_corrupt.output()]);
+    }
+}
+
+impl EpochStep for LocalGlobalStep<'_> {
+    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
+        let (n, v) = (self.x.rows(), self.views.len());
+        let mut features: Vec<Cow<'_, Matrix>> = (0..v)
+            .map(|_| match self.perturb {
+                Some(p) => Cow::Owned(uniform::perturb_features_uniform(
+                    self.x,
+                    p,
+                    &mut self.train_rng,
+                )),
+                None => Cow::Borrowed(self.x),
+            })
+            .collect();
+        cx.fault.corrupt_view_features(cx.epoch, &mut features[0]);
+        let x_corrupt = shuffle_rows(self.x, &mut self.train_rng);
+        for (view, xv) in self.views.iter_mut().zip(&features) {
+            view.encoder.forward_with(&view.adj, xv, &mut view.real);
+            view.encoder
+                .forward_with(&view.adj, &x_corrupt, &mut view.corrupt);
+        }
+        let summaries: Vec<(Vec<f32>, Vec<f32>)> = self
+            .views
+            .iter()
+            .map(|view| summary(view.real.output()))
+            .collect();
+        // Scored pair k: the real rows of view k for k < V, then the
+        // corrupt rows of view k − V; view i against summary (i + 1) mod V.
+        let scored: Vec<(&Matrix, &[f32])> = (0..2 * v)
+            .map(|k| {
+                let view = &self.views[k % v];
+                let h = if k < v {
+                    view.real.output()
+                } else {
+                    view.corrupt.output()
+                };
+                (h, summaries[(k % v + 1) % v].0.as_slice())
+            })
+            .collect();
+        let logits: Vec<f32> = scored
+            .iter()
+            .flat_map(|&(h, s)| self.disc.score(h, s))
+            .collect();
+        let mut targets = vec![1.0f32; v * n];
+        targets.extend(std::iter::repeat_n(0.0, v * n));
+        let (l, dl) = loss::bce_with_logits(&logits, &targets);
+        let mut grads: Vec<BilinearGrads> = scored
+            .iter()
+            .enumerate()
+            .map(|(k, &(h, s))| self.disc.backward(h, s, &dl[k * n..(k + 1) * n]))
+            .collect();
+        self.dw = std::mem::take(&mut grads[0].dw);
+        for g in &grads[1..] {
+            self.dw.add_assign(&g.dw);
+        }
+        for (j, view) in self.views.iter_mut().enumerate() {
+            // Summary j is scored against the rows of view (j − 1) mod V.
+            let i = (j + v - 1) % v;
+            let ds: Vec<f32> = grads[i]
+                .ds
+                .iter()
+                .zip(&grads[v + i].ds)
+                .map(|(a, b)| a + b)
+                .collect();
+            let mut d_real = std::mem::take(&mut grads[j].dh);
+            summary_backward(&mut d_real, &ds, &summaries[j].1);
+            view.encoder
+                .backward_with(&view.adj, &mut view.real, &d_real);
+            view.encoder
+                .backward_with(&view.adj, &mut view.corrupt, &grads[v + j].dh);
+            for (acc, g) in view.real.grads_mut().iter_mut().zip(view.corrupt.grads()) {
+                acc.axpy(1.0, g);
+            }
+        }
+        let outputs: Vec<&Matrix> = self
+            .views
+            .iter()
+            .flat_map(|view| [view.real.output(), view.corrupt.output()])
+            .collect();
         EpochOutcome::Step {
             loss: l,
-            embeddings_bad,
+            embeddings_bad: cx.guard.embeddings_bad(&outputs),
         }
     }
 
     fn grads_mut(&mut self) -> &mut [Matrix] {
-        self.ws_real.grads_mut()
+        self.views[0].real.grads_mut()
     }
 
     fn aux_grads_bad(&self) -> bool {
-        self.dw.has_non_finite()
+        self.views[1..]
+            .iter()
+            .any(|view| optim::grads_non_finite(view.real.grads()))
+            || self.dw.has_non_finite()
+    }
+
+    // Each view's encoder is clipped as its own group, with its own global
+    // norm.
+    fn clip(&mut self, max_norm: f32) {
+        for view in &mut self.views {
+            optim::clip_grad_norm(view.real.grads_mut(), max_norm);
+        }
     }
 
     fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt
-            .step(self.encoder.params_mut(), self.ws_real.grads());
+        for view in &mut self.views {
+            view.opt.lr = lr;
+            view.opt.step(view.encoder.params_mut(), view.real.grads());
+        }
         self.disc_opt.lr = lr;
         self.disc_opt.step(
             std::slice::from_mut(&mut self.disc.w),
@@ -234,8 +316,17 @@ impl EpochStep for DgiStep<'_> {
         );
     }
 
+    /// The sum of the views' embeddings.
     fn embed(&mut self) -> Matrix {
-        self.encoder.embed(&self.adj, self.x)
+        let x = self.x;
+        self.views
+            .iter()
+            .map(|view| view.encoder.embed(&view.adj, x))
+            .reduce(|mut h, e| {
+                h.add_assign(&e);
+                h
+            })
+            .expect("a local-global step has a view")
     }
 }
 
@@ -319,6 +410,50 @@ mod tests {
         let mut vals: Vec<f32> = s.as_slice().to_vec();
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(vals, vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    /// MVGRL's clip scales each encoder by its own group norm: a view above
+    /// `max` lands on it, a view below is left bit for bit. Clipping the two
+    /// groups jointly fails both checks.
+    #[test]
+    fn mvgrl_clips_each_view_as_its_own_group() {
+        use crate::guard::{FaultPlan, GuardConfig, NumericGuard};
+        use crate::models::mvgrl::MvgrlModel;
+        let d = NodeDataset::generate(&spec("cora-sim").unwrap(), 0.05, 0);
+        let cfg = TrainConfig::default();
+        let mut step =
+            MvgrlModel::default().step(&d.graph, &d.features, &cfg, &mut SeedRng::new(3));
+        let guard = NumericGuard::new(&GuardConfig::default());
+        let outcome = step.epoch(&mut EpochCtx {
+            epoch: 0,
+            lr: cfg.lr,
+            fault: &FaultPlan::default(),
+            guard: &guard,
+        });
+        assert!(matches!(outcome, EpochOutcome::Step { .. }));
+        let grads: Vec<Vec<Matrix>> = step
+            .views
+            .iter()
+            .map(|view| view.real.grads().to_vec())
+            .collect();
+        let norms: Vec<f32> = grads.iter().map(|g| optim::global_grad_norm(g)).collect();
+        assert_eq!(norms.len(), 2);
+        assert!(norms[0] != norms[1], "{norms:?}");
+        let (lo, hi) = (norms[0].min(norms[1]), norms[0].max(norms[1]));
+        for max in [0.5 * lo, 0.5 * (lo + hi)] {
+            for (view, g) in step.views.iter_mut().zip(&grads) {
+                view.real.grads_mut().clone_from_slice(g);
+            }
+            step.clip(max);
+            for ((view, g), &before) in step.views.iter().zip(&grads).zip(&norms) {
+                if before > max {
+                    let after = optim::global_grad_norm(view.real.grads());
+                    assert!((after - max).abs() <= 1e-4 * max, "{after} vs {max}");
+                } else {
+                    assert_eq!(view.real.grads(), g.as_slice());
+                }
+            }
+        }
     }
 
     #[test]

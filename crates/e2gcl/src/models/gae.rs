@@ -2,8 +2,9 @@
 //!
 //! The encoder is the same 2-layer GCN as every other model; the decoder is
 //! the inner-product edge decoder `p(u,v) = σ(z_u · z_v)` trained with BCE
-//! over positive edges and sampled non-edges. VGAE adds the reparameterised
-//! Gaussian posterior and KL regulariser.
+//! over positive edges and sampled non-edges. Both train through one step,
+//! `AutoEncoderStep`; VGAE adds its `Posterior`: the reparameterised
+//! Gaussian, the KL regulariser and the μ-only inference embedding.
 
 use crate::config::TrainConfig;
 use crate::engine::{EpochCtx, EpochDriver, EpochOutcome, EpochStep};
@@ -12,6 +13,7 @@ use e2gcl_datasets::split::sample_non_edges;
 use e2gcl_graph::{norm, CsrGraph, SparseMatrix};
 use e2gcl_linalg::{ops, Matrix, SeedRng, TrainError};
 use e2gcl_nn::{loss, optim::Optimizer, Adam, GcnEncoder, GcnWorkspace};
+use std::borrow::Cow;
 
 /// Edges scored per epoch (positives; an equal number of negatives is
 /// sampled). Caps the decoder cost on dense graphs.
@@ -67,59 +69,8 @@ impl ContrastiveModel for GaeModel {
     ) -> Result<PretrainResult, TrainError> {
         crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
         let driver = EpochDriver::new(cfg);
-        let adj = norm::normalized_adjacency(g);
-        let encoder = GcnEncoder::new(&cfg.encoder_dims(x.cols()), &mut rng.fork("init"));
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let train_rng = rng.fork("train");
-        driver.run(&mut GaeStep {
-            g,
-            x,
-            adj,
-            encoder,
-            opt,
-            train_rng,
-            ws: GcnWorkspace::new(),
-        })
-    }
-}
-
-/// One GAE epoch: encode, score an edge batch with the inner-product
-/// decoder, and backprop the BCE reconstruction gradient.
-struct GaeStep<'a> {
-    g: &'a CsrGraph,
-    x: &'a Matrix,
-    adj: SparseMatrix,
-    encoder: GcnEncoder,
-    opt: Adam,
-    train_rng: SeedRng,
-    ws: GcnWorkspace,
-}
-
-impl EpochStep for GaeStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        self.encoder.forward_with(&self.adj, self.x, &mut self.ws);
-        let pos = edge_batch(self.g, &mut self.train_rng);
-        let neg = sample_non_edges(self.g, pos.len(), &mut self.train_rng);
-        let (l, dz) = reconstruction(self.ws.output(), &pos, &neg);
-        self.encoder.backward_with(&self.adj, &mut self.ws, &dz);
-        let embeddings_bad = cx.guard.embeddings_bad(&[self.ws.output()]);
-        EpochOutcome::Step {
-            loss: l,
-            embeddings_bad,
-        }
-    }
-
-    fn grads_mut(&mut self) -> &mut [Matrix] {
-        self.ws.grads_mut()
-    }
-
-    fn apply(&mut self, _epoch: usize, lr: f32, _loss: f32) {
-        self.opt.lr = lr;
-        self.opt.step(self.encoder.params_mut(), self.ws.grads());
-    }
-
-    fn embed(&mut self) -> Matrix {
-        self.encoder.embed(&self.adj, self.x)
+        let dims = cfg.encoder_dims(x.cols());
+        driver.run(&mut AutoEncoderStep::new(g, x, &dims, None, cfg, rng))
     }
 }
 
@@ -152,71 +103,61 @@ impl ContrastiveModel for VgaeModel {
     ) -> Result<PretrainResult, TrainError> {
         crate::models::ensure_whole_graph_full_loss(cfg, &self.name())?;
         let driver = EpochDriver::new(cfg);
-        let adj = norm::normalized_adjacency(g);
         let d = cfg.embed_dim;
         // Encoder emits [μ | log σ²] side by side.
-        let dims = vec![x.cols(), cfg.hidden_dim, 2 * d];
-        let encoder = GcnEncoder::new(&dims, &mut rng.fork("init"));
-        let opt = Adam::with_weight_decay(cfg.lr, cfg.weight_decay);
-        let train_rng = rng.fork("train");
-        let n = g.num_nodes();
-        driver.run(&mut VgaeStep {
-            g,
-            x,
-            adj,
-            encoder,
-            opt,
-            train_rng,
+        let dims = [x.cols(), cfg.hidden_dim, 2 * d];
+        let posterior = Posterior {
             d,
-            kl_scale: self.kl_weight / n as f32,
-            ws: GcnWorkspace::new(),
+            kl_scale: self.kl_weight / g.num_nodes() as f32,
             z: Matrix::default(),
             eps: Matrix::default(),
             d_out: Matrix::default(),
-        })
+        };
+        driver.run(&mut AutoEncoderStep::new(
+            g,
+            x,
+            &dims,
+            Some(posterior),
+            cfg,
+            rng,
+        ))
     }
 }
 
-/// One VGAE epoch: encode to `[μ | log σ²]`, reparameterise, decode an edge
-/// batch, and backprop reconstruction + KL through the posterior.
-struct VgaeStep<'a> {
-    g: &'a CsrGraph,
-    x: &'a Matrix,
-    adj: SparseMatrix,
-    encoder: GcnEncoder,
-    opt: Adam,
-    train_rng: SeedRng,
+/// VGAE's Gaussian posterior over the encoder's `[μ | log σ²]` output.
+struct Posterior {
     /// Latent width (the encoder's output is `2 * d` wide).
     d: usize,
     kl_scale: f32,
-    ws: GcnWorkspace,
+    /// The reparameterised sample `z = μ + ε·σ`.
     z: Matrix,
     eps: Matrix,
+    /// Gradient w.r.t. `[μ | log σ²]`.
     d_out: Matrix,
 }
 
-impl EpochStep for VgaeStep<'_> {
-    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
-        let (n, d) = (self.g.num_nodes(), self.d);
-        self.encoder.forward_with(&self.adj, self.x, &mut self.ws);
-        let out = self.ws.output();
-        // Split, reparameterise.
+impl Posterior {
+    /// Draws `ε` (row-major, one normal per latent entry) and sets `z`.
+    fn sample(&mut self, out: &Matrix, rng: &mut SeedRng) {
+        let (n, d) = (out.rows(), self.d);
         self.z.reset_zeroed(n, d);
         self.eps.reset_zeroed(n, d);
         for v in 0..n {
             for j in 0..d {
                 let mu = out.get(v, j);
                 let logvar = out.get(v, d + j).clamp(-10.0, 10.0);
-                let e = self.train_rng.normal();
+                let e = rng.normal();
                 self.eps.set(v, j, e);
                 self.z.set(v, j, mu + e * (0.5 * logvar).exp());
             }
         }
-        let pos = edge_batch(self.g, &mut self.train_rng);
-        let neg = sample_non_edges(self.g, pos.len(), &mut self.train_rng);
-        let (recon, dz) = reconstruction(&self.z, &pos, &neg);
-        // KL(q || N(0,I)) and total gradient wrt [μ | log σ²].
-        let kl_scale = self.kl_scale;
+    }
+
+    /// KL(q ‖ N(0, I)); leaves the total gradient w.r.t. `[μ | log σ²]`
+    /// (reconstruction `dz` through the reparameterisation, plus KL) in
+    /// `d_out`.
+    fn kl_backward(&mut self, out: &Matrix, dz: &Matrix) -> f32 {
+        let (n, d, kl_scale) = (out.rows(), self.d, self.kl_scale);
         let mut kl = 0.0f64;
         self.d_out.reset_zeroed(n, 2 * d);
         for v in 0..n {
@@ -234,11 +175,69 @@ impl EpochStep for VgaeStep<'_> {
                 );
             }
         }
-        self.encoder
-            .backward_with(&self.adj, &mut self.ws, &self.d_out);
-        let embeddings_bad = cx.guard.embeddings_bad(&[&self.z]);
+        kl as f32
+    }
+}
+
+/// One auto-encoder epoch (GAE, VGAE): encode, sample the posterior if
+/// there is one, score an edge batch with the inner-product decoder, and
+/// backprop the BCE reconstruction (plus KL) gradient.
+struct AutoEncoderStep<'a> {
+    g: &'a CsrGraph,
+    x: &'a Matrix,
+    adj: SparseMatrix,
+    encoder: GcnEncoder,
+    opt: Adam,
+    train_rng: SeedRng,
+    ws: GcnWorkspace,
+    posterior: Option<Posterior>,
+}
+
+impl<'a> AutoEncoderStep<'a> {
+    /// Forks `"init"` for the encoder, then `"train"`.
+    fn new(
+        g: &'a CsrGraph,
+        x: &'a Matrix,
+        dims: &[usize],
+        posterior: Option<Posterior>,
+        cfg: &TrainConfig,
+        rng: &mut SeedRng,
+    ) -> Self {
+        Self {
+            g,
+            x,
+            adj: norm::normalized_adjacency(g),
+            encoder: GcnEncoder::new(dims, &mut rng.fork("init")),
+            opt: Adam::with_weight_decay(cfg.lr, cfg.weight_decay),
+            train_rng: rng.fork("train"),
+            ws: GcnWorkspace::new(),
+            posterior,
+        }
+    }
+}
+
+impl EpochStep for AutoEncoderStep<'_> {
+    fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
+        let mut x = Cow::Borrowed(self.x);
+        cx.fault.corrupt_view_features(cx.epoch, &mut x);
+        self.encoder.forward_with(&self.adj, &x, &mut self.ws);
+        // The ε draws come before the edge batch's.
+        if let Some(p) = &mut self.posterior {
+            p.sample(self.ws.output(), &mut self.train_rng);
+        }
+        let pos = edge_batch(self.g, &mut self.train_rng);
+        let neg = sample_non_edges(self.g, pos.len(), &mut self.train_rng);
+        let out = self.ws.output();
+        let z = self.posterior.as_ref().map_or(out, |p| &p.z);
+        let (recon, dz) = reconstruction(z, &pos, &neg);
+        let embeddings_bad = cx.guard.embeddings_bad(&[z]);
+        let (loss, d_out) = match &mut self.posterior {
+            Some(p) => (recon + p.kl_backward(out, &dz), &p.d_out),
+            None => (recon, &dz),
+        };
+        self.encoder.backward_with(&self.adj, &mut self.ws, d_out);
         EpochOutcome::Step {
-            loss: recon + kl as f32,
+            loss,
             embeddings_bad,
         }
     }
@@ -252,24 +251,18 @@ impl EpochStep for VgaeStep<'_> {
         self.opt.step(self.encoder.params_mut(), self.ws.grads());
     }
 
+    /// GAE's encoder output; VGAE's posterior means μ.
     fn embed(&mut self) -> Matrix {
-        mu_embeddings(&self.encoder, &self.adj, self.x, self.d)
+        let full = self.encoder.embed(&self.adj, self.x);
+        let Some(p) = &self.posterior else {
+            return full;
+        };
+        let mut mu = Matrix::zeros(full.rows(), p.d);
+        for v in 0..full.rows() {
+            mu.row_mut(v).copy_from_slice(&full.row(v)[..p.d]);
+        }
+        mu
     }
-}
-
-/// Inference embeddings of VGAE: the posterior means μ.
-fn mu_embeddings(
-    encoder: &GcnEncoder,
-    adj: &e2gcl_graph::SparseMatrix,
-    x: &Matrix,
-    d: usize,
-) -> Matrix {
-    let full = encoder.embed(adj, x);
-    let mut mu = Matrix::zeros(full.rows(), d);
-    for v in 0..full.rows() {
-        mu.row_mut(v).copy_from_slice(&full.row(v)[..d]);
-    }
-    mu
 }
 
 #[cfg(test)]

@@ -1,59 +1,15 @@
 //! Node centrality measures.
 //!
 //! The paper's edge/feature scores use log-degree centrality
-//! `φ_c(u) = log(D_u + 1)` (§IV-C1, following GCA). PageRank centrality is
-//! provided as well for the ablation that swaps the centrality measure.
+//! `φ_c(u) = log(D_u + 1)` (§IV-C1, following GCA).
 
-use crate::{norm, CsrGraph};
+use crate::CsrGraph;
 
 /// Log-degree centrality `φ_c(v) = ln(D_v + 1)` for every node.
 pub fn degree_centrality(g: &CsrGraph) -> Vec<f32> {
     (0..g.num_nodes())
         .map(|v| ((g.degree(v) + 1) as f32).ln())
         .collect()
-}
-
-/// Power-iteration PageRank with damping `alpha`, `iters` sweeps.
-pub fn pagerank(g: &CsrGraph, alpha: f32, iters: usize) -> Vec<f32> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let w = norm::row_normalized_adjacency(g).transpose();
-    let mut p = vec![1.0 / n as f32; n];
-    let teleport = (1.0 - alpha) / n as f32;
-    for _ in 0..iters {
-        let mut next = w.spmv(&p);
-        for v in &mut next {
-            *v = alpha * *v + teleport;
-        }
-        p = next;
-    }
-    p
-}
-
-/// Eigenvector centrality via power iteration on `A + I`.
-pub fn eigenvector_centrality(g: &CsrGraph, iters: usize) -> Vec<f32> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut x = vec![1.0f32; n];
-    for _ in 0..iters {
-        let mut next = vec![0.0f32; n];
-        for v in 0..n {
-            next[v] += x[v];
-            for &u in g.neighbors(v) {
-                next[v] += x[u as usize];
-            }
-        }
-        let norm = next.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-12);
-        for v in &mut next {
-            *v /= norm;
-        }
-        x = next;
-    }
-    x
 }
 
 #[cfg(test)]
@@ -66,31 +22,5 @@ mod tests {
         let c = degree_centrality(&g);
         assert!((c[0] - 3.0f32.ln()).abs() < 1e-6);
         assert!((c[1] - 2.0f32.ln()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pagerank_sums_to_one_and_favours_hub() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let p = pagerank(&g, 0.85, 50);
-        let s: f32 = p.iter().sum();
-        assert!((s - 1.0).abs() < 1e-3, "sum {s}");
-        for leaf in 1..5 {
-            assert!(p[0] > p[leaf], "hub should dominate");
-        }
-    }
-
-    #[test]
-    fn eigenvector_centrality_hub_dominates() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let c = eigenvector_centrality(&g, 100);
-        assert!(c[0] > c[1]);
-        assert!((c[1] - c[2]).abs() < 1e-5); // symmetric leaves agree
-    }
-
-    #[test]
-    fn empty_graph_ok() {
-        let g = CsrGraph::from_edges(0, &[]);
-        assert!(pagerank(&g, 0.85, 10).is_empty());
-        assert!(eigenvector_centrality(&g, 10).is_empty());
     }
 }

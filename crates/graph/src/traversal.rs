@@ -45,12 +45,6 @@ pub fn connected_components(g: &CsrGraph) -> (Vec<usize>, usize) {
     (label, next)
 }
 
-/// Length of the shortest path between `a` and `b`, or `None` if disconnected.
-pub fn shortest_path_len(g: &CsrGraph, a: usize, b: usize) -> Option<usize> {
-    let d = bfs_distances(g, a)[b];
-    (d != usize::MAX).then_some(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,13 +71,5 @@ mod tests {
         assert_eq!(labels[3], labels[4]);
         assert_ne!(labels[0], labels[3]);
         assert_ne!(labels[5], labels[0]);
-    }
-
-    #[test]
-    fn shortest_path_cases() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
-        assert_eq!(shortest_path_len(&g, 0, 2), Some(2));
-        assert_eq!(shortest_path_len(&g, 0, 0), Some(0));
-        assert_eq!(shortest_path_len(&g, 0, 4), None);
     }
 }

@@ -120,18 +120,6 @@ pub fn perturb_features_uniform(x: &Matrix, p: f32, rng: &mut SeedRng) -> Matrix
     out
 }
 
-/// GraphCL-style node dropping: isolates a `p` fraction of nodes (indices
-/// stay stable; features are zeroed by the caller if desired).
-pub fn drop_nodes_uniform(g: &CsrGraph, p: f32, rng: &mut SeedRng) -> CsrGraph {
-    let n = g.num_nodes();
-    let dropped: Vec<bool> = (0..n).map(|_| rng.bernoulli(p)).collect();
-    let edges: Vec<(usize, usize)> = g
-        .edges()
-        .filter(|&(u, v)| !dropped[u] && !dropped[v])
-        .collect();
-    CsrGraph::from_edges(n, &edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,13 +196,5 @@ mod tests {
         }
         let v = p.get(1, 1);
         assert!((0.0..=4.0).contains(&v));
-    }
-
-    #[test]
-    fn drop_nodes_isolates() {
-        let g = graph(8);
-        let d = drop_nodes_uniform(&g, 1.0, &mut SeedRng::new(9));
-        assert_eq!(d.num_edges(), 0);
-        assert_eq!(d.num_nodes(), g.num_nodes());
     }
 }

@@ -151,8 +151,9 @@ fn baselines_survive_sparse_graph() {
     use e2gcl::models::{
         bgrl::{AfgrlModel, BgrlModel},
         dgi::DgiModel,
-        gae::GaeModel,
+        gae::{GaeModel, VgaeModel},
         grace::GraceModel,
+        mvgrl::MvgrlModel,
         walks::WalkModel,
     };
     let g = CsrGraph::from_edges(25, &[(0, 1), (10, 11)]);
@@ -171,12 +172,60 @@ fn baselines_survive_sparse_graph() {
         Box::new(AfgrlModel::default()),
         Box::new(DgiModel),
         Box::new(GaeModel),
+        Box::new(VgaeModel::default()),
+        Box::new(MvgrlModel::default()),
         Box::new(WalkModel::deepwalk()),
     ];
     for m in models {
         let out = m.pretrain(&g, &x, &cfg, &mut SeedRng::new(14)).unwrap();
         assert!(!out.embeddings.has_non_finite(), "{}", m.name());
     }
+}
+
+/// A scheduled feature fault reaches every baseline's encoder: under
+/// `FailFast` the NaN written into the epoch's view features must end the
+/// run with a typed error at that epoch, not be silently dropped.
+#[test]
+fn feature_fault_reaches_every_baseline() {
+    use e2gcl::models::{
+        bgrl::{AfgrlModel, BgrlModel},
+        dgi::DgiModel,
+        gae::{GaeModel, VgaeModel},
+        mvgrl::MvgrlModel,
+    };
+    let d = NodeDataset::generate(&spec("cora-sim").unwrap(), 0.04, 3);
+    let cfg = TrainConfig {
+        epochs: 3,
+        guard: GuardConfig {
+            policy: GuardPolicy::FailFast,
+            ..Default::default()
+        },
+        fault: Some(FaultPlan {
+            nan_features_at: vec![1],
+            ..FaultPlan::default()
+        }),
+        ..Default::default()
+    };
+    let models: Vec<Box<dyn ContrastiveModel>> = vec![
+        Box::new(DgiModel),
+        Box::new(MvgrlModel::default()),
+        Box::new(BgrlModel::default()),
+        Box::new(AfgrlModel::default()),
+        Box::new(GaeModel),
+        Box::new(VgaeModel::default()),
+    ];
+    let mut missed = Vec::new();
+    for m in models {
+        match m.pretrain(&d.graph, &d.features, &cfg, &mut SeedRng::new(5)) {
+            Err(
+                TrainError::NonFiniteLoss { epoch: 1 }
+                | TrainError::NonFiniteGradient { epoch: 1 }
+                | TrainError::NonFiniteEmbedding { epoch: 1 },
+            ) => {}
+            other => missed.push(format!("{}: {:?}", m.name(), other.map(|r| r.loss_curve))),
+        }
+    }
+    assert!(missed.is_empty(), "feature fault dropped: {missed:#?}");
 }
 
 /// An empty graph (no nodes at all is unrepresentable in NodeDataset, so

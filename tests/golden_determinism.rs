@@ -30,7 +30,7 @@ use e2gcl::models::bgrl::{AfgrlModel, BgrlModel};
 use e2gcl::models::dgi::DgiModel;
 use e2gcl::models::gae::{GaeModel, VgaeModel};
 use e2gcl::models::grace::GraceModel;
-use e2gcl::models::mvgrl::MvgrlModel;
+use e2gcl::models::mvgrl::{MvgrlConfig, MvgrlModel};
 use e2gcl::models::walks::WalkModel;
 use e2gcl::prelude::*;
 
@@ -70,6 +70,14 @@ fn cases() -> Vec<(&'static str, Box<dyn ContrastiveModel>, bool)> {
         ("gae", Box::new(GaeModel), true),
         ("vgae", Box::new(VgaeModel::default()), true),
         ("mvgrl", Box::new(MvgrlModel::default()), true),
+        (
+            "mvgrl-fp",
+            Box::new(MvgrlModel::new(MvgrlConfig {
+                extra_feature_perturb: Some(0.1),
+                ..MvgrlConfig::default()
+            })),
+            true,
+        ),
         ("adgcl", Box::new(AdgclModel::default()), true),
         ("deepwalk", Box::new(WalkModel::deepwalk()), true),
         ("node2vec", Box::new(WalkModel::node2vec()), true),
@@ -122,6 +130,9 @@ const GOLDEN_SCALAR: &[(&str, u64)] = &[
     ("gae", 0x089a37fb8b16db6e),
     ("vgae", 0xb9271bb4e50f72fe),
     ("mvgrl", 0xc6359ffb362f310c),
+    // Pinned before DGI and MVGRL shared one step, so that step keeps
+    // MVGRL+FP's draw order: perturb view 1, perturb view 2, shuffle.
+    ("mvgrl-fp", 0x4b64d11faa0da080),
     ("adgcl", 0x40c5eb5fa7f79278),
     ("deepwalk", 0x7481d94f09b4f097),
     ("node2vec", 0xa19f41d34123344e),
@@ -145,6 +156,7 @@ const GOLDEN_AVX2: &[(&str, u64)] = &[
     ("gae", 0x4e245d4ecb2687d1),
     ("vgae", 0x8c361d701a8e09c9),
     ("mvgrl", 0x1617bc219e32de75),
+    ("mvgrl-fp", 0xfd8737dfb0b2e0dd),
     ("adgcl", 0x838c93fb3bf3d013),
     // deepwalk/node2vec avoid the dense GEMM/lane-dot hot path entirely,
     // so their fingerprints are identical across dispatch paths.
