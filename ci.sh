@@ -8,6 +8,10 @@
 # Steps:
 #   1. cargo fmt --check          — formatting
 #   2. cargo clippy -D warnings   — lints across the whole workspace
+#   2b. cargo doc -D warnings     — rustdoc across the whole workspace
+#                                   (vendored stand-ins included): no
+#                                   broken intra-doc link and no public
+#                                   doc linking to a private item
 #   3. cargo test -q              — unit, integration, and property tests
 #   3b. scalar-fallback goldens   — every determinism suite (goldens,
 #                                   loss strategies, mini-batch
@@ -117,6 +121,9 @@ cargo fmt --all -- --check
 
 stage 2 "cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+stage 2b "cargo doc --no-deps -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 stage 3 "cargo test -q"
 cargo test -q --workspace --offline

@@ -85,19 +85,22 @@ fn main() {
         epochs: 20,
         ..TrainConfig::default()
     };
-    for (name, model) in [("GRACE", true), ("E2GCL", false)] {
+    let models: [(&str, Box<dyn ContrastiveModel>); 4] = [
+        ("GRACE", Box::new(e2gcl::models::grace::GraceModel::grace())),
+        ("E2GCL", Box::new(E2gclModel::default())),
+        ("DGI", Box::new(e2gcl::models::dgi::DgiModel)),
+        (
+            "MVGRL",
+            Box::new(e2gcl::models::mvgrl::MvgrlModel::default()),
+        ),
+    ];
+    for (name, model) in &models {
         let allocs_for = |cfg: &TrainConfig| {
             let before = matrix_allocs();
             let t0 = Instant::now();
-            if model {
-                e2gcl::models::grace::GraceModel::grace()
-                    .pretrain(&data.graph, x, cfg, &mut SeedRng::new(5))
-                    .expect("pretrain");
-            } else {
-                E2gclModel::default()
-                    .pretrain(&data.graph, x, cfg, &mut SeedRng::new(5))
-                    .expect("pretrain");
-            }
+            model
+                .pretrain(&data.graph, x, cfg, &mut SeedRng::new(5))
+                .expect("pretrain");
             (matrix_allocs() - before, t0.elapsed())
         };
         let (a_short, _) = allocs_for(&short);

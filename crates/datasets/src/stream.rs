@@ -3,15 +3,16 @@
 //! [`e2gcl_graph::generators::dc_sbm_with_confusion`] is the right tool up
 //! to ~100k nodes, but it has two costs that explode at a million:
 //!
-//! * every edge draw picks its source with `SeedRng::weighted_index`, a
-//!   linear scan over all `|V|` propensities — `O(|V|)` *per draw*, so
-//!   `O(|V|² · d̄)` overall;
+//! * every edge draw picks its source with
+//!   `SeedRng::weighted_index_with_total`: the weight totals are summed
+//!   once per graph, but each draw still scans the propensities up to the
+//!   drawn one — `O(|V|)` *per draw*, so `O(|V|² · d̄)` overall;
 //! * the edge list (`Vec<(usize, usize)>`) plus the per-node `Vec<Vec<u32>>`
 //!   adjacency of `CsrGraph::from_edges` materialise every duplicate edge
 //!   and one heap allocation per node.
 //!
 //! [`StreamingSbm`] replaces both. Weighted sampling goes through prefix-sum
-//! [`CumTable`]s (one binary search per draw), and the edge stream is never
+//! `CumTable`s (one binary search per draw), and the edge stream is never
 //! stored: draws are split into shards, each with its own up-front-forked
 //! RNG, and the stream is *replayed* — once to count degrees (which sizes
 //! the CSR arrays exactly), once to scatter endpoints into place. A final

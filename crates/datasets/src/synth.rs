@@ -9,7 +9,10 @@ pub fn imbalanced_labels(n: usize, num_classes: usize, rng: &mut SeedRng) -> Vec
     let weights: Vec<f32> = (0..num_classes)
         .map(|c| 1.0 / (1.0 + c as f32).powf(0.6))
         .collect();
-    let mut labels: Vec<usize> = (0..n).map(|_| rng.weighted_index(&weights)).collect();
+    let total = SeedRng::weight_total(&weights);
+    let mut labels: Vec<usize> = (0..n)
+        .map(|_| rng.weighted_index_with_total(&weights, total))
+        .collect();
     // Guarantee every class is inhabited so downstream stratification works.
     for (c, label) in labels.iter_mut().enumerate().take(num_classes.min(n)) {
         *label = c;

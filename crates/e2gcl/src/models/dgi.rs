@@ -27,7 +27,10 @@ pub struct BilinearDiscriminator {
     pub w: Matrix,
 }
 
-/// Gradients produced by [`BilinearDiscriminator::backward`].
+/// One scored block's buffers: `W s` from [`BilinearDiscriminator::score`]
+/// and the gradients [`BilinearDiscriminator::backward`] writes. A step
+/// holds one per block and reuses it every epoch.
+#[derive(Clone, Debug, Default)]
 pub struct BilinearGrads {
     /// `∂L/∂W`.
     pub dw: Matrix,
@@ -35,6 +38,10 @@ pub struct BilinearGrads {
     pub dh: Matrix,
     /// `∂L/∂s`.
     pub ds: Vec<f32>,
+    /// `W s` of the last scored summary.
+    ws: Vec<f32>,
+    /// `Σ_v dlogit_v · h_v`.
+    g: Vec<f32>,
 }
 
 impl BilinearDiscriminator {
@@ -45,39 +52,39 @@ impl BilinearDiscriminator {
         }
     }
 
-    /// Scores every row of `h` against summary `s`: `logit_v = h_v · (W s)`.
-    pub fn score(&self, h: &Matrix, s: &[f32]) -> Vec<f32> {
-        let ws = self.w_s(s);
-        (0..h.rows()).map(|v| ops::dot(h.row(v), &ws)).collect()
+    /// Scores every row of `h` against summary `s`, `logit_v = h_v · (W s)`,
+    /// appending to `logits`. Keeps `W s` in `buf` for [`Self::backward`].
+    pub fn score(&self, h: &Matrix, s: &[f32], buf: &mut BilinearGrads, logits: &mut Vec<f32>) {
+        buf.ws.clear();
+        buf.ws
+            .extend((0..self.w.rows()).map(|r| ops::dot(self.w.row(r), s)));
+        logits.extend((0..h.rows()).map(|v| ops::dot(h.row(v), &buf.ws)));
     }
 
-    fn w_s(&self, s: &[f32]) -> Vec<f32> {
-        (0..self.w.rows())
-            .map(|r| ops::dot(self.w.row(r), s))
-            .collect()
-    }
-
-    /// Backward pass given `dlogits` (one per row of `h`).
-    pub fn backward(&self, h: &Matrix, s: &[f32], dlogits: &[f32]) -> BilinearGrads {
+    /// Backward pass given `dlogits` (one per row of `h`), into `buf`, whose
+    /// `W s` the [`Self::score`] call on the same `(h, s)` left there.
+    pub fn backward(&self, h: &Matrix, s: &[f32], dlogits: &[f32], buf: &mut BilinearGrads) {
         let d = self.w.rows();
-        let ws = self.w_s(s);
-        let mut dh = Matrix::zeros(h.rows(), d);
-        let mut dw = Matrix::zeros(d, d);
-        let mut ds = vec![0.0f32; d];
+        let BilinearGrads { dw, dh, ds, ws, g } = buf;
+        assert_eq!(ws.len(), d, "score(h, s) must precede backward");
+        dh.reset_zeroed(h.rows(), d);
+        dw.reset_zeroed(d, d);
+        ds.clear();
+        ds.resize(d, 0.0);
         // Accumulate g_v = Σ dlogit_v · h_v once, then dW = g s^T.
-        let mut g = vec![0.0f32; d];
+        g.clear();
+        g.resize(d, 0.0);
         for (v, &dl) in dlogits.iter().enumerate() {
-            ops::axpy_slice(dh.row_mut(v), dl, &ws);
-            ops::axpy_slice(&mut g, dl, h.row(v));
+            ops::axpy_slice(dh.row_mut(v), dl, ws);
+            ops::axpy_slice(g, dl, h.row(v));
         }
         for (r, &gv) in g.iter().enumerate() {
             ops::axpy_slice(dw.row_mut(r), gv, s);
         }
         // ds = W^T g.
         for (r, &gr) in g.iter().enumerate() {
-            ops::axpy_slice(&mut ds, gr, self.w.row(r));
+            ops::axpy_slice(ds, gr, self.w.row(r));
         }
-        BilinearGrads { dw, dh, ds }
     }
 }
 
@@ -99,11 +106,11 @@ fn summary_backward(dh: &mut Matrix, ds: &[f32], dsig: &[f32]) {
     }
 }
 
-/// Row-shuffled copy of `x` — DGI's corruption function.
-fn shuffle_rows(x: &Matrix, rng: &mut SeedRng) -> Matrix {
+/// Row-shuffled copy of `x` into `out` — DGI's corruption function.
+fn shuffle_rows(x: &Matrix, rng: &mut SeedRng, out: &mut Matrix) {
     let mut perm: Vec<usize> = (0..x.rows()).collect();
     rng.shuffle(&mut perm);
-    x.select_rows(&perm)
+    x.select_rows_into(&perm, out);
 }
 
 /// The DGI model.
@@ -162,9 +169,15 @@ pub(crate) struct LocalGlobalStep<'a> {
     disc: BilinearDiscriminator,
     disc_opt: Adam,
     train_rng: SeedRng,
-    /// Discriminator gradient of the current epoch (auxiliary: scanned via
-    /// `aux_grads_bad`, stepped in `apply`, never clipped).
-    dw: Matrix,
+    /// Row-shuffled features of the current epoch.
+    x_corrupt: Matrix,
+    /// Discriminator buffers, one per scored block (`2V`). Block 0's `dw`
+    /// holds the epoch's discriminator gradient, summed over the blocks
+    /// (auxiliary: scanned via `aux_grads_bad`, stepped in `apply`, never
+    /// clipped).
+    blocks: Vec<BilinearGrads>,
+    /// Logits of the current epoch: the blocks' rows in block order.
+    logits: Vec<f32>,
 }
 
 impl<'a> LocalGlobalStep<'a> {
@@ -179,6 +192,7 @@ impl<'a> LocalGlobalStep<'a> {
         rng: &mut SeedRng,
     ) -> Self {
         let disc = BilinearDiscriminator::new(cfg.embed_dim, &mut rng.fork("disc"));
+        let blocks = vec![BilinearGrads::default(); 2 * views.len()];
         let views = views
             .into_iter()
             .map(|(adj, encoder)| View {
@@ -196,7 +210,9 @@ impl<'a> LocalGlobalStep<'a> {
             disc,
             disc_opt: Adam::new(cfg.lr),
             train_rng: rng.fork("train"),
-            dw: Matrix::default(),
+            x_corrupt: Matrix::default(),
+            blocks,
+            logits: Vec::new(),
         }
     }
 }
@@ -215,18 +231,18 @@ impl EpochStep for LocalGlobalStep<'_> {
             })
             .collect();
         cx.fault.corrupt_view_features(cx.epoch, &mut features[0]);
-        let x_corrupt = shuffle_rows(self.x, &mut self.train_rng);
+        shuffle_rows(self.x, &mut self.train_rng, &mut self.x_corrupt);
         for (view, xv) in self.views.iter_mut().zip(&features) {
             view.encoder.forward_with(&view.adj, xv, &mut view.real);
             view.encoder
-                .forward_with(&view.adj, &x_corrupt, &mut view.corrupt);
+                .forward_with(&view.adj, &self.x_corrupt, &mut view.corrupt);
         }
         let summaries: Vec<(Vec<f32>, Vec<f32>)> = self
             .views
             .iter()
             .map(|view| summary(view.real.output()))
             .collect();
-        // Scored pair k: the real rows of view k for k < V, then the
+        // Scored block k: the real rows of view k for k < V, then the
         // corrupt rows of view k − V; view i against summary (i + 1) mod V.
         let scored: Vec<(&Matrix, &[f32])> = (0..2 * v)
             .map(|k| {
@@ -239,37 +255,36 @@ impl EpochStep for LocalGlobalStep<'_> {
                 (h, summaries[(k % v + 1) % v].0.as_slice())
             })
             .collect();
-        let logits: Vec<f32> = scored
-            .iter()
-            .flat_map(|&(h, s)| self.disc.score(h, s))
-            .collect();
+        self.logits.clear();
+        for (&(h, s), buf) in scored.iter().zip(&mut self.blocks) {
+            self.disc.score(h, s, buf, &mut self.logits);
+        }
         let mut targets = vec![1.0f32; v * n];
         targets.extend(std::iter::repeat_n(0.0, v * n));
-        let (l, dl) = loss::bce_with_logits(&logits, &targets);
-        let mut grads: Vec<BilinearGrads> = scored
-            .iter()
-            .enumerate()
-            .map(|(k, &(h, s))| self.disc.backward(h, s, &dl[k * n..(k + 1) * n]))
-            .collect();
-        self.dw = std::mem::take(&mut grads[0].dw);
-        for g in &grads[1..] {
-            self.dw.add_assign(&g.dw);
+        let (l, dl) = loss::bce_with_logits(&self.logits, &targets);
+        for (k, (&(h, s), buf)) in scored.iter().zip(&mut self.blocks).enumerate() {
+            self.disc.backward(h, s, &dl[k * n..(k + 1) * n], buf);
         }
+        // The discriminator gradient accumulates into block 0's.
+        let (first, rest) = self.blocks.split_first_mut().expect("2V blocks");
+        for b in rest.iter() {
+            first.dw.add_assign(&b.dw);
+        }
+        let (real, corrupt) = self.blocks.split_at_mut(v);
         for (j, view) in self.views.iter_mut().enumerate() {
             // Summary j is scored against the rows of view (j − 1) mod V.
             let i = (j + v - 1) % v;
-            let ds: Vec<f32> = grads[i]
+            let ds: Vec<f32> = real[i]
                 .ds
                 .iter()
-                .zip(&grads[v + i].ds)
+                .zip(&corrupt[i].ds)
                 .map(|(a, b)| a + b)
                 .collect();
-            let mut d_real = std::mem::take(&mut grads[j].dh);
-            summary_backward(&mut d_real, &ds, &summaries[j].1);
+            summary_backward(&mut real[j].dh, &ds, &summaries[j].1);
             view.encoder
-                .backward_with(&view.adj, &mut view.real, &d_real);
+                .backward_with(&view.adj, &mut view.real, &real[j].dh);
             view.encoder
-                .backward_with(&view.adj, &mut view.corrupt, &grads[v + j].dh);
+                .backward_with(&view.adj, &mut view.corrupt, &corrupt[j].dh);
             for (acc, g) in view.real.grads_mut().iter_mut().zip(view.corrupt.grads()) {
                 acc.axpy(1.0, g);
             }
@@ -293,7 +308,7 @@ impl EpochStep for LocalGlobalStep<'_> {
         self.views[1..]
             .iter()
             .any(|view| optim::grads_non_finite(view.real.grads()))
-            || self.dw.has_non_finite()
+            || self.blocks[0].dw.has_non_finite()
     }
 
     // Each view's encoder is clipped as its own group, with its own global
@@ -312,7 +327,7 @@ impl EpochStep for LocalGlobalStep<'_> {
         self.disc_opt.lr = lr;
         self.disc_opt.step(
             std::slice::from_mut(&mut self.disc.w),
-            std::slice::from_ref(&self.dw),
+            std::slice::from_ref(&self.blocks[0].dw),
         );
     }
 
@@ -345,11 +360,15 @@ mod tests {
         }
         let s = vec![0.3f32, -0.7, 0.5];
         // Loss = 0.5 Σ logit², so dlogits = logits.
-        let logits = disc.score(&h, &s);
-        let grads = disc.backward(&h, &s, &logits);
+        let mut grads = BilinearGrads::default();
+        let mut logits = Vec::new();
+        disc.score(&h, &s, &mut grads, &mut logits);
+        disc.backward(&h, &s, &logits, &mut grads);
         let eps = 1e-3f32;
         let f = |disc: &BilinearDiscriminator, h: &Matrix, s: &[f32]| -> f32 {
-            0.5 * disc.score(h, s).iter().map(|l| l * l).sum::<f32>()
+            let mut logits = Vec::new();
+            disc.score(h, s, &mut BilinearGrads::default(), &mut logits);
+            0.5 * logits.iter().map(|l| l * l).sum::<f32>()
         };
         // dW check.
         let mut d2 = disc.clone();
@@ -406,7 +425,8 @@ mod tests {
     fn shuffle_rows_is_permutation() {
         let mut rng = SeedRng::new(1);
         let x = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
-        let s = shuffle_rows(&x, &mut rng);
+        let mut s = Matrix::default();
+        shuffle_rows(&x, &mut rng, &mut s);
         let mut vals: Vec<f32> = s.as_slice().to_vec();
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(vals, vec![1.0, 2.0, 3.0, 4.0]);

@@ -229,6 +229,8 @@ struct E2gclPerNodeStep<'a> {
     x: &'a Matrix,
     cfg: &'a TrainConfig,
     selection: Selection,
+    /// `SeedRng::weight_total` of the fixed λ weights, summed once.
+    weight_total: f64,
     generator: ViewGenerator,
     encoder: FrozenEncoder,
     adj_orig: SparseMatrix,
@@ -249,7 +251,11 @@ impl EpochStep for E2gclPerNodeStep<'_> {
         }
         let bsz = cfg.batch_size.min(anchors.len());
         let batch: Vec<usize> = (0..bsz)
-            .map(|_| anchors[self.train_rng.weighted_index(weights)])
+            .map(|_| {
+                anchors[self
+                    .train_rng
+                    .weighted_index_with_total(weights, self.weight_total)]
+            })
             .collect();
         // Encode each anchor's two ego views, one workspace each, kept
         // until that view's backward pass.
@@ -383,6 +389,7 @@ impl ContrastiveModel for E2gclModel {
                 conf,
                 x,
                 cfg,
+                weight_total: SeedRng::weight_total(&selection.weights),
                 selection,
                 generator: generator.expect("per-node mode rejects mini-batches"),
                 adj_orig: encoder.adjacency(g),

@@ -209,6 +209,8 @@ pub(crate) fn restore(
 /// selection weights, with `negatives` sampled batch rows per anchor.
 struct Weighted {
     weights: Vec<f32>,
+    /// `SeedRng::weight_total(&weights)`, summed once.
+    total: f64,
     negatives: usize,
 }
 
@@ -227,7 +229,7 @@ impl Weighted {
             .map(|_| {
                 let rows = (0..bsz)
                     .map(|_| {
-                        let j = rng.weighted_index(&self.weights);
+                        let j = rng.weighted_index_with_total(&self.weights, self.total);
                         anchors.map_or(j, |a| a[j])
                     })
                     .collect();
@@ -333,7 +335,11 @@ where
         negatives: usize,
         margin: Option<MarginContrastive>,
     ) {
-        self.weighted = Some(Weighted { weights, negatives });
+        self.weighted = Some(Weighted {
+            total: SeedRng::weight_total(&weights),
+            weights,
+            negatives,
+        });
         if let Some(kernel) = margin {
             self.loss = Objective::Margin(Box::new(kernel));
         }

@@ -136,6 +136,7 @@ impl ContrastiveModel for WalkModel {
         let neg_weights: Vec<f32> = (0..n)
             .map(|v| (g.degree(v) as f32 + 1.0).powf(0.75))
             .collect();
+        let neg_total = SeedRng::weight_total(&neg_weights);
         let order: Vec<usize> = (0..n).collect();
         driver.run(&mut WalkStep {
             model: self,
@@ -144,6 +145,7 @@ impl ContrastiveModel for WalkModel {
             w_in,
             w_out,
             neg_weights,
+            neg_total,
             order,
         })
     }
@@ -161,6 +163,8 @@ struct WalkStep<'a> {
     w_in: Matrix,
     w_out: Matrix,
     neg_weights: Vec<f32>,
+    /// `SeedRng::weight_total(&neg_weights)`, summed once per run.
+    neg_total: f64,
     order: Vec<usize>,
 }
 
@@ -193,7 +197,9 @@ impl EpochStep for WalkStep<'_> {
                         ops::axpy_slice(self.w_in.row_mut(center), gpos, &ctx_row);
                         ops::axpy_slice(self.w_out.row_mut(ctx), gpos, &cen_row);
                         for _ in 0..conf.negatives {
-                            let negv = self.rng.weighted_index(&self.neg_weights);
+                            let negv = self
+                                .rng
+                                .weighted_index_with_total(&self.neg_weights, self.neg_total);
                             if negv == center {
                                 continue;
                             }

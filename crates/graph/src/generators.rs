@@ -2,8 +2,7 @@
 //!
 //! These are the structural engines behind the synthetic dataset analogs
 //! (see `e2gcl-datasets`): a degree-corrected stochastic block model for the
-//! homophilous node-classification graphs, Erdős–Rényi for null models, and
-//! Barabási–Albert for heavy-tailed degree experiments.
+//! homophilous node-classification graphs and Erdős–Rényi for null models.
 
 use crate::CsrGraph;
 use e2gcl_linalg::SeedRng;
@@ -16,34 +15,6 @@ pub fn erdos_renyi(n: usize, p: f64, rng: &mut SeedRng) -> CsrGraph {
             if f64::from(rng.uniform()) < p {
                 edges.push((u, v));
             }
-        }
-    }
-    CsrGraph::from_edges(n, &edges)
-}
-
-/// Barabási–Albert preferential attachment: each new node attaches `m` edges.
-pub fn barabasi_albert(n: usize, m: usize, rng: &mut SeedRng) -> CsrGraph {
-    assert!(m >= 1 && n > m, "need n > m >= 1");
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    // Repeated-endpoint list implements preferential attachment in O(1).
-    let mut endpoints: Vec<usize> = (0..=m).collect();
-    for u in 0..m {
-        edges.push((u, m));
-        endpoints.push(m);
-        endpoints.push(u);
-    }
-    for v in (m + 1)..n {
-        let mut targets = std::collections::HashSet::new();
-        while targets.len() < m {
-            let t = endpoints[rng.below(endpoints.len())];
-            if t != v {
-                targets.insert(t);
-            }
-        }
-        for &t in &targets {
-            edges.push((v, t));
-            endpoints.push(v);
-            endpoints.push(t);
         }
     }
     CsrGraph::from_edges(n, &edges)
@@ -105,17 +76,23 @@ pub fn dc_sbm_with_confusion(
     for (v, &c) in labels.iter().enumerate() {
         members[c].push(v);
     }
-    // Per-community cumulative theta tables for weighted sampling.
-    let comm_weights: Vec<Vec<f32>> = members
+    // Per-community theta tables for weighted sampling, each with its
+    // weight total summed once rather than on every draw.
+    let comm_weights: Vec<(Vec<f32>, f64)> = members
         .iter()
-        .map(|ms| ms.iter().map(|&v| theta[v].max(1e-6)).collect())
+        .map(|ms| {
+            let w: Vec<f32> = ms.iter().map(|&v| theta[v].max(1e-6)).collect();
+            let total = SeedRng::weight_total(&w);
+            (w, total)
+        })
         .collect();
     let global_weights: Vec<f32> = theta.iter().map(|&t| t.max(1e-6)).collect();
+    let global_total = SeedRng::weight_total(&global_weights);
 
     let num_draws = ((n as f64) * target_avg_degree / 2.0).round() as usize;
     let mut edges = Vec::with_capacity(num_draws);
     for _ in 0..num_draws {
-        let u = rng.weighted_index(&global_weights);
+        let u = rng.weighted_index_with_total(&global_weights, global_total);
         let cu = labels[u];
         let target_comm = if f64::from(rng.uniform()) < p_in || num_classes == 1 {
             cu
@@ -137,7 +114,8 @@ pub fn dc_sbm_with_confusion(
         if members[target_comm].is_empty() {
             continue;
         }
-        let vi = rng.weighted_index(&comm_weights[target_comm]);
+        let (w, total) = &comm_weights[target_comm];
+        let vi = rng.weighted_index_with_total(w, *total);
         let v = members[target_comm][vi];
         if u != v {
             edges.push((u, v));
@@ -175,24 +153,6 @@ mod tests {
             (got - expect).abs() < expect * 0.25,
             "got {got} expect {expect}"
         );
-    }
-
-    #[test]
-    fn ba_node_and_edge_counts() {
-        let mut rng = SeedRng::new(2);
-        let g = barabasi_albert(100, 3, &mut rng);
-        assert_eq!(g.num_nodes(), 100);
-        // m initial edges + m per node after the seed clique of m+1 nodes.
-        assert_eq!(g.num_edges(), 3 + (100 - 3 - 1) * 3);
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn ba_has_heavy_hub() {
-        let mut rng = SeedRng::new(3);
-        let g = barabasi_albert(300, 2, &mut rng);
-        let max_deg = (0..300).map(|v| g.degree(v)).max().unwrap();
-        assert!(max_deg > 10, "expected a hub, max degree {max_deg}");
     }
 
     #[test]

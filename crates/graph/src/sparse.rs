@@ -213,14 +213,6 @@ impl SparseMatrix {
         cur
     }
 
-    /// Sparse × dense vector product.
-    pub fn spmv(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(self.cols, x.len());
-        (0..self.rows)
-            .map(|r| self.row_entries(r).map(|(c, v)| v * x[c]).sum())
-            .collect()
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> SparseMatrix {
         let mut triplets = Vec::with_capacity(self.nnz());
@@ -293,12 +285,6 @@ mod tests {
         assert_eq!(p2, x); // swap twice = identity
         let p0 = s.spmm_power(&x, 0);
         assert_eq!(p0, x);
-    }
-
-    #[test]
-    fn spmv_known() {
-        let s = SparseMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, -1.0)]);
-        assert_eq!(s.spmv(&[1.0, 2.0, 3.0]), vec![7.0, -2.0]);
     }
 
     #[test]

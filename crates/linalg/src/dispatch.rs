@@ -15,7 +15,7 @@
 //!    into a usage message + exit.
 //! 4. Unset — load `./kernel_tune.json` if present and valid for the
 //!    detected feature set. A corrupt implicit file is quarantined and a
-//!    feature-mismatched one ignored (both recorded as [`events`]); either
+//!    feature-mismatched one ignored (both recorded as [`startup_events`]); either
 //!    way resolution continues with detected defaults. The library never
 //!    *writes* the tune file — only `kernel_bench` (first-run autotune) and
 //!    `e2gcl kernels --tune` do, via [`crate::tune::ensure`].
@@ -253,7 +253,7 @@ impl Selection {
 }
 
 /// True when the host supports both AVX2 and FMA (the feature pair every
-/// kernel in [`crate::simd::avx2`] is compiled for).
+/// kernel in `simd::avx2` is compiled for).
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

@@ -180,9 +180,24 @@ impl SeedRng {
 
     /// Samples one index from a non-negative weight vector.
     ///
-    /// Falls back to uniform if all weights are zero/non-finite.
+    /// Falls back to uniform if all weights are zero/non-finite. The
+    /// composition of [`SeedRng::weight_total`] and
+    /// [`SeedRng::weighted_index_with_total`]: callers whose weights stay
+    /// fixed across draws sum them once and call the latter directly, with
+    /// the same bits.
     pub fn weighted_index(&mut self, weights: &[f32]) -> usize {
-        let total: f64 = weights.iter().map(|&w| f64::from(w.max(0.0))).sum();
+        self.weighted_index_with_total(weights, Self::weight_total(weights))
+    }
+
+    /// The total [`SeedRng::weighted_index`] draws against: every weight
+    /// floored at zero, summed in `f64` in slice order.
+    pub fn weight_total(weights: &[f32]) -> f64 {
+        weights.iter().map(|&w| f64::from(w.max(0.0))).sum()
+    }
+
+    /// [`SeedRng::weighted_index`] given `total = weight_total(weights)`:
+    /// one scan and one draw, no summing pass.
+    pub fn weighted_index_with_total(&mut self, weights: &[f32], total: f64) -> usize {
         if total <= 0.0 || !total.is_finite() {
             return self.below(weights.len());
         }

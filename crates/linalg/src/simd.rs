@@ -609,7 +609,7 @@ pub mod call {
         );
     }
 
-    /// See [`avx2::lane_dot8`].
+    /// See `avx2::lane_dot8`.
     #[inline]
     pub fn lane_dot8(a: &[f32], b: &[f32]) -> f32 {
         require_avx2();
@@ -617,7 +617,7 @@ pub mod call {
         unsafe { avx2::lane_dot8(a, b) }
     }
 
-    /// See [`avx2::lane_dot4`].
+    /// See `avx2::lane_dot4`.
     #[inline]
     pub fn lane_dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
         require_avx2();
@@ -625,7 +625,7 @@ pub mod call {
         unsafe { avx2::lane_dot4(a, b0, b1, b2, b3) }
     }
 
-    /// See [`avx2::mm_rows`].
+    /// See `avx2::mm_rows`.
     #[inline]
     pub fn mm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, oc: usize, mr: u8, nv: u8) {
         require_avx2();
@@ -634,7 +634,7 @@ pub mod call {
         unsafe { avx2::mm_rows(a, b, out, k, oc, mr, nv) }
     }
 
-    /// See [`avx2::tm_rows`].
+    /// See `avx2::tm_rows`.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn tm_rows(
@@ -653,7 +653,7 @@ pub mod call {
         unsafe { avx2::tm_rows(a, b, out, c0, sc, oc, nrows, mr, nv) }
     }
 
-    /// See [`avx2::mt_rows`].
+    /// See `avx2::mt_rows`.
     #[inline]
     pub fn mt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, on: usize, mr: u8, nr: u8) {
         require_avx2();
@@ -661,7 +661,7 @@ pub mod call {
         unsafe { avx2::mt_rows(a, b, out, k, on, mr, nr) }
     }
 
-    /// See [`avx2::syrk_rows`].
+    /// See `avx2::syrk_rows`.
     #[inline]
     pub fn syrk_rows(a: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize, mr: u8, nr: u8) {
         require_avx2();
@@ -669,7 +669,7 @@ pub mod call {
         unsafe { avx2::syrk_rows(a, out, i0, k, n, mr, nr) }
     }
 
-    /// See [`avx2::spmm_row`].
+    /// See `avx2::spmm_row`.
     #[inline]
     pub fn spmm_row(cols: &[u32], vals: &[f32], xs: &[f32], d: usize, out_row: &mut [f32]) {
         require_avx2();

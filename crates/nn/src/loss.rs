@@ -278,7 +278,7 @@ fn nt_xent_rows(
 /// matrix allocations once the scratch is warm.
 ///
 /// The backward pass is fully GEMM-based. With `G12`/`G21`/`G11`/`G22` the
-/// gradient-coefficient blocks produced by [`nt_xent_rows`] (so
+/// gradient-coefficient blocks produced by `nt_xent_rows` (so
 /// `Gab[i][j] = ∂L/∂(u_a·u_b)[i][j]`), the chain rule gives
 /// `du1 = (G12 + G21^T)·u2 + (G11 + G11^T)·u1` and
 /// `du2 = (G12 + G21^T)^T·u1 + (G22 + G22^T)·u2`, all computed by the

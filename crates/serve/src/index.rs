@@ -334,7 +334,7 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// Builds the [`PackedRows`] scan acceleration from `store` (validated
+    /// Builds the `PackedRows` scan acceleration from `store` (validated
     /// with [`Self::matches`] first). [`Self::build`] packs automatically;
     /// call this after [`Self::load`]/[`Self::from_bytes`], which cannot —
     /// the file holds only list structure, not row data. Unpacked indexes

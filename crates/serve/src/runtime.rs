@@ -63,7 +63,7 @@ impl Clock {
     /// (timer slack + scheduler wakeup), which at micro-batching
     /// granularity would charge the *host's* jitter to every request's
     /// latency. So the final stretch of every wait is a spin on the clock;
-    /// only the part beyond [`SPIN_US`] is delegated to the OS.
+    /// only the part beyond `SPIN_US` is delegated to the OS.
     pub fn advance_us(&self, us: u64) {
         /// Wall waits at or under this spin instead of sleeping.
         const SPIN_US: u64 = 1_000;

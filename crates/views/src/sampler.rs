@@ -13,13 +13,24 @@
 //!   its per-node view — at a fraction of the cost. (Every GCL baseline
 //!   trains this way too, so the efficiency comparisons stay fair.)
 //!
-//! Candidate lists and edge scores are precomputed once (the paper's §IV-C
-//! complexity argument assumes the same), so per-epoch sampling is cheap.
+//! Candidate lists, edge scores and each node's score total are precomputed
+//! once in [`ViewGenerator::new`] (the paper's §IV-C complexity argument
+//! assumes the same), so per-epoch sampling is cheap:
+//!
+//! * two-hop lists are collected against a dense per-worker mark array,
+//!   stamped once per node with `u` and its direct neighbours pre-marked,
+//!   so the set-up costs `O(Σ_w deg(w)²)` array probes and no hashing; the
+//!   list keeps its first-occurrence order, which the capped subsampling
+//!   indexes into;
+//! * every neighbour draw is `SeedRng::weighted_index_with_total` against
+//!   the node's stored total, summed in `weighted_index`'s order, so a draw
+//!   is one scan instead of a summing pass plus a scan, with the same bits.
 
 use crate::scores::{EdgeRecipe, GraphScores};
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{Matrix, SeedRng};
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// Hyperparameters of the view generator.
 #[derive(Clone, Debug)]
@@ -83,9 +94,53 @@ pub struct ViewGenerator {
     candidates: Vec<Vec<u32>>,
     /// Edge score of each candidate, parallel to `candidates`.
     weights: Vec<Vec<f32>>,
+    /// `SeedRng::weight_total` of each node's `weights`, summed once here
+    /// instead of on every draw.
+    totals: Vec<f64>,
     /// Nonzero feature columns per node (perturbation touches only these —
     /// Eq. (16) is multiplicative, so zero entries are fixed points).
     nonzero_dims: Vec<Vec<u32>>,
+}
+
+thread_local! {
+    /// One worker's dense node marks for [`two_hop_candidates`] and the
+    /// stamp of the node it last collected: `marks[t] == stamp` means `t`
+    /// is excluded or already collected for the current node.
+    static MARKS: RefCell<(Vec<u32>, u32)> = const { RefCell::new((Vec::new(), 0)) };
+}
+
+/// The distinct nodes two hops from `u`, excluding `u` and its direct
+/// neighbours, in first-occurrence order. Each call takes a fresh stamp, so
+/// the marks are never cleared between nodes (only when the stamp wraps),
+/// and the list depends on the graph alone, not on which worker built it.
+fn two_hop_candidates(g: &CsrGraph, u: usize) -> Vec<u32> {
+    MARKS.with(|cell| {
+        let (marks, stamp) = &mut *cell.borrow_mut();
+        if marks.len() < g.num_nodes() {
+            marks.resize(g.num_nodes(), 0);
+        }
+        *stamp = stamp.wrapping_add(1);
+        if *stamp == 0 {
+            marks.fill(0);
+            *stamp = 1;
+        }
+        let s = *stamp;
+        marks[u] = s;
+        for &w in g.neighbors(u) {
+            marks[w as usize] = s;
+        }
+        let mut two_hop = Vec::new();
+        for &w in g.neighbors(u) {
+            for &t in g.neighbors(w as usize) {
+                let mark = &mut marks[t as usize];
+                if *mark != s {
+                    *mark = s;
+                    two_hop.push(t);
+                }
+            }
+        }
+        two_hop
+    })
 }
 
 impl ViewGenerator {
@@ -103,17 +158,7 @@ impl ViewGenerator {
             .zip(cand_rng.par_iter_mut())
             .map(|(u, local_rng)| {
                 let mut cands: Vec<u32> = g.neighbors(u).to_vec();
-                let direct: std::collections::HashSet<u32> = cands.iter().copied().collect();
-                // Gather 2-hop candidates (excluding u and 1-hop).
-                let mut two_hop: Vec<u32> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for &w in g.neighbors(u) {
-                    for &t in g.neighbors(w as usize) {
-                        if t as usize != u && !direct.contains(&t) && seen.insert(t) {
-                            two_hop.push(t);
-                        }
-                    }
-                }
+                let mut two_hop = two_hop_candidates(g, u);
                 if two_hop.len() > cap {
                     let picked = local_rng.sample_without_replacement(two_hop.len(), cap);
                     two_hop = picked.into_iter().map(|i| two_hop[i]).collect();
@@ -157,7 +202,8 @@ impl ViewGenerator {
                 (cands, weights)
             })
             .collect();
-        let (candidates, weights): (Vec<_>, Vec<_>) = per_node.into_iter().unzip();
+        let (candidates, weights): (Vec<_>, Vec<Vec<f32>>) = per_node.into_iter().unzip();
+        let totals = weights.iter().map(|w| SeedRng::weight_total(w)).collect();
         let nonzero_dims = (0..n)
             .map(|v| {
                 x.row(v)
@@ -175,6 +221,7 @@ impl ViewGenerator {
             config,
             candidates,
             weights,
+            totals,
             nonzero_dims,
         }
     }
@@ -196,7 +243,7 @@ impl ViewGenerator {
         let mut out = Vec::with_capacity(draws.min(cands.len()));
         let mut seen = vec![false; cands.len()];
         for _ in 0..draws {
-            let i = rng.weighted_index(&self.weights[u]);
+            let i = rng.weighted_index_with_total(&self.weights[u], self.totals[u]);
             if !seen[i] {
                 seen[i] = true;
                 out.push(cands[i] as usize);
@@ -303,6 +350,27 @@ mod tests {
         }
         let gen = ViewGenerator::new(&g, &x, ViewConfig::default(), &mut rng);
         (g, x, gen)
+    }
+
+    /// Marks left by earlier nodes, or by an earlier and larger graph on
+    /// the same thread, never leak into a later list.
+    #[test]
+    fn two_hop_candidates_match_a_set_reference_across_graphs() {
+        let reference = |g: &CsrGraph, u: usize| -> Vec<u32> {
+            let mut seen = std::collections::HashSet::new();
+            g.neighbors(u)
+                .iter()
+                .flat_map(|&w| g.neighbors(w as usize).iter().copied())
+                .filter(|&t| t as usize != u && !g.has_edge(u, t as usize) && seen.insert(t))
+                .collect()
+        };
+        let mut rng = SeedRng::new(21);
+        for n in [120usize, 40, 120] {
+            let g = generators::erdos_renyi(n, 0.08, &mut rng);
+            for u in 0..n {
+                assert_eq!(two_hop_candidates(&g, u), reference(&g, u), "n {n}, u {u}");
+            }
+        }
     }
 
     #[test]
