@@ -2,8 +2,9 @@
 # Repository CI gate. Run from the workspace root: ./ci.sh
 #
 # Every stage prints its elapsed wall seconds when it ends, and the script
-# prints the total when it exits, passing or failing (bash's SECONDS; this
-# measures, it gates nothing).
+# prints the total when it exits, passing or failing (bash's SECONDS). On
+# exit it also prints the lines of Rust under crates/, tests/ and vendor/
+# and the number of workspace members. Both measure; they gate nothing.
 #
 # Steps:
 #   1. cargo fmt --check          — formatting
@@ -114,7 +115,17 @@ stage() {
     stage_start=$SECONDS
     echo "==> $2"
 }
-trap 'end_stage; echo "==> total: ${SECONDS} s"' EXIT
+# Code size: every *.rs line under each tree, and the packages `cargo
+# metadata --no-deps` lists (one manifest_path per workspace member).
+size_report() {
+    local dir
+    for dir in crates tests vendor; do
+        echo "    rust lines in $dir/: $(find "$dir" -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+    done
+    echo "    workspace members: $(cargo metadata --offline --no-deps --format-version 1 \
+        | grep -o '"manifest_path"' | wc -l)"
+}
+trap 'end_stage; size_report; echo "==> total: ${SECONDS} s"' EXIT
 
 stage 1 "cargo fmt --check"
 cargo fmt --all -- --check

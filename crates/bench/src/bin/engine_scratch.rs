@@ -85,13 +85,22 @@ fn main() {
         epochs: 20,
         ..TrainConfig::default()
     };
-    let models: [(&str, Box<dyn ContrastiveModel>); 4] = [
+    let models: [(&str, Box<dyn ContrastiveModel>); 5] = [
         ("GRACE", Box::new(e2gcl::models::grace::GraceModel::grace())),
         ("E2GCL", Box::new(E2gclModel::default())),
         ("DGI", Box::new(e2gcl::models::dgi::DgiModel)),
         (
             "MVGRL",
             Box::new(e2gcl::models::mvgrl::MvgrlModel::default()),
+        ),
+        (
+            "MVGRL-FP",
+            Box::new(e2gcl::models::mvgrl::MvgrlModel::new(
+                e2gcl::models::mvgrl::MvgrlConfig {
+                    extra_feature_perturb: Some(0.2),
+                    ..Default::default()
+                },
+            )),
         ),
     ];
     for (name, model) in &models {

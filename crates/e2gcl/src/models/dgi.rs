@@ -165,6 +165,8 @@ pub(crate) struct LocalGlobalStep<'a> {
     x: &'a Matrix,
     /// Uniform feature perturbation drawn per view each epoch (MVGRL+FP).
     perturb: Option<f32>,
+    /// The perturbed features of the current epoch, one per view.
+    perturbed: Vec<Matrix>,
     views: Vec<View>,
     disc: BilinearDiscriminator,
     disc_opt: Adam,
@@ -193,6 +195,7 @@ impl<'a> LocalGlobalStep<'a> {
     ) -> Self {
         let disc = BilinearDiscriminator::new(cfg.embed_dim, &mut rng.fork("disc"));
         let blocks = vec![BilinearGrads::default(); 2 * views.len()];
+        let perturbed = views.iter().map(|_| Matrix::default()).collect();
         let views = views
             .into_iter()
             .map(|(adj, encoder)| View {
@@ -206,6 +209,7 @@ impl<'a> LocalGlobalStep<'a> {
         Self {
             x,
             perturb,
+            perturbed,
             views,
             disc,
             disc_opt: Adam::new(cfg.lr),
@@ -220,16 +224,16 @@ impl<'a> LocalGlobalStep<'a> {
 impl EpochStep for LocalGlobalStep<'_> {
     fn epoch(&mut self, cx: &mut EpochCtx<'_>) -> EpochOutcome {
         let (n, v) = (self.x.rows(), self.views.len());
-        let mut features: Vec<Cow<'_, Matrix>> = (0..v)
-            .map(|_| match self.perturb {
-                Some(p) => Cow::Owned(uniform::perturb_features_uniform(
-                    self.x,
-                    p,
-                    &mut self.train_rng,
-                )),
-                None => Cow::Borrowed(self.x),
-            })
-            .collect();
+        let mut features: Vec<Cow<'_, Matrix>> = match self.perturb {
+            Some(p) => {
+                for xv in &mut self.perturbed {
+                    xv.clone_from(self.x);
+                    uniform::perturb_features_uniform_in_place(xv, p, &mut self.train_rng);
+                }
+                self.perturbed.iter().map(Cow::Borrowed).collect()
+            }
+            None => vec![Cow::Borrowed(self.x); v],
+        };
         cx.fault.corrupt_view_features(cx.epoch, &mut features[0]);
         shuffle_rows(self.x, &mut self.train_rng, &mut self.x_corrupt);
         for (view, xv) in self.views.iter_mut().zip(&features) {

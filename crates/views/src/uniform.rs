@@ -110,14 +110,18 @@ pub fn mask_feature_dims_weighted(
 /// probability `p` instead of the importance-aware one (`E²GCL\F`).
 pub fn perturb_features_uniform(x: &Matrix, p: f32, rng: &mut SeedRng) -> Matrix {
     let mut out = x.clone();
-    for r in 0..out.rows() {
-        for v in out.row_mut(r) {
-            if *v != 0.0 && rng.bernoulli(p) {
-                *v += (2.0 * rng.uniform() - 1.0) * *v;
-            }
+    perturb_features_uniform_in_place(&mut out, p, rng);
+    out
+}
+
+/// [`perturb_features_uniform`] applied to `x` itself, with the same draws:
+/// callers that perturb every epoch copy into a held buffer and call this.
+pub fn perturb_features_uniform_in_place(x: &mut Matrix, p: f32, rng: &mut SeedRng) {
+    for v in x.as_mut_slice() {
+        if *v != 0.0 && rng.bernoulli(p) {
+            *v += (2.0 * rng.uniform() - 1.0) * *v;
         }
     }
-    out
 }
 
 #[cfg(test)]
