@@ -20,7 +20,10 @@
 #                                   E2GCL_KERNEL_CONFIG=scalar so the
 #                                   non-SIMD fallback keeps reproducing the
 #                                   committed scalar fingerprints and the
-#                                   degenerate-batch and resume bits
+#                                   degenerate-batch and resume bits, plus
+#                                   the nn large-shape kernel pins (InfoNCE
+#                                   at 1024 and 784 anchors, GCN backward
+#                                   and transpose_matmul at 5,900 rows)
 #   4. grep lint                  — no .unwrap()/panic! in non-test library
 #                                   code of the crates that run training
 #                                   (use .expect("reason") or a TrainError)
@@ -144,10 +147,13 @@ stage 3b "scalar-fallback goldens: E2GCL_KERNEL_CONFIG=scalar determinism suites
 # (avx2 where available). Forcing the scalar path here proves the fallback
 # kernels still reproduce all committed scalar fingerprints (DESIGN.md §16),
 # and that degenerate mini-batches and resumed runs stay bitwise equal to
-# their full-batch and uninterrupted counterparts on that path too.
+# their full-batch and uninterrupted counterparts on that path too. The
+# goldens train on ~135 nodes, so the large-shape pins cover the kernels'
+# cache-blocked walks (row blocks, 1024-wide transposes) on that path.
 E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl \
     --test golden_determinism --test loss_strategy_determinism \
     --test minibatch_equivalence --test resume_determinism
+E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl-nn --test large_shape_pins
 
 stage 4 "lint: no .unwrap()/panic! in non-test library code"
 # Test modules in this codebase are trailing `#[cfg(test)] mod tests` blocks,

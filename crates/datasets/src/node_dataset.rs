@@ -102,20 +102,6 @@ impl NodeDataset {
         self.features.cols()
     }
 
-    /// Serialises the dataset to JSON at `path`.
-    pub fn save_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
-    }
-
-    /// Loads a dataset previously written by [`Self::save_json`].
-    pub fn load_json(path: &std::path::Path) -> std::io::Result<NodeDataset> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Measured homophily: fraction of edges whose endpoints share a label.
     pub fn edge_homophily(&self) -> f64 {
         let mut same = 0usize;
@@ -171,19 +157,6 @@ mod tests {
         for c in 0..s.sim_classes {
             assert!(d.labels.contains(&c));
         }
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let d = NodeDataset::generate(&spec("cora-sim").unwrap(), 0.05, 77);
-        let path = std::env::temp_dir().join("e2gcl-dataset-roundtrip.json");
-        d.save_json(&path).unwrap();
-        let back = NodeDataset::load_json(&path).unwrap();
-        assert_eq!(back.graph, d.graph);
-        assert_eq!(back.features, d.features);
-        assert_eq!(back.labels, d.labels);
-        assert_eq!(back.num_classes, d.num_classes);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl AdjacencyList {
         }
     }
 
-    /// Appends a fresh isolated node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.adj.push(BTreeSet::new());
-        self.adj.len() - 1
-    }
-
     /// Neighbour iterator of `v` (ascending).
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
         self.adj[v].iter().map(|&u| u as usize)
@@ -136,14 +130,5 @@ mod tests {
         assert_eq!(a.degree(0), 0);
         assert_eq!(a.num_edges(), 1);
         assert!(a.has_edge(1, 2));
-    }
-
-    #[test]
-    fn add_node_grows() {
-        let mut a = AdjacencyList::new(2);
-        let v = a.add_node();
-        assert_eq!(v, 2);
-        assert!(a.add_edge(v, 0));
-        assert_eq!(a.to_csr().num_nodes(), 3);
     }
 }

@@ -23,6 +23,34 @@ const MR_DOT: usize = 2;
 const NR_DOT: usize = 4;
 const LANES: usize = 4;
 
+/// Side of the square tiles the transpose family (`transpose`, the `syrk`
+/// mirror, `add_transpose_assign`, `symmetrize_additive`) walks in. When a
+/// row is a multiple of 4 KB long (n = 1024 floats), a column walk maps
+/// every element to the same L1 set and evicts each line before its
+/// neighbours are used. Inside one tile a walk touches `TT` lines per
+/// operand, well within any x86 L1's associativity.
+const TT: usize = 8;
+
+/// The one tiled walk of the transpose family: calls `f(i, j)` for every
+/// `i < rows` and `j < cols` (only `j >= i` when `upper`), one `TT x TT`
+/// tile at a time, `j` innermost. Callers touch each element
+/// exactly once and only move or add it, so the walk order never changes a
+/// bit.
+#[inline(always)]
+fn walk_tiles(rows: usize, cols: usize, upper: bool, mut f: impl FnMut(usize, usize)) {
+    for ib in (0..rows).step_by(TT) {
+        let jb0 = if upper { ib } else { 0 };
+        for jb in (jb0..cols).step_by(TT) {
+            for i in ib..(ib + TT).min(rows) {
+                let j0 = if upper { jb.max(i) } else { jb };
+                for j in j0..(jb + TT).min(cols) {
+                    f(i, j);
+                }
+            }
+        }
+    }
+}
+
 /// One block of up to `MR` rows of `out = a_chunk * b` (`b` is `k x oc`,
 /// row-major). Full `MR x NR` panels run register-tiled; the row/column
 /// remainders fall back to the streaming axpy path. Both paths accumulate
@@ -483,12 +511,23 @@ impl Matrix {
         self.transpose_impl(out);
     }
 
+    /// Parallel over bands of `TT` output rows (disjoint writes), each
+    /// band walked in tiles.
     fn transpose_impl(&self, out: &mut Matrix) {
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
+        let (rows, cols) = (self.rows, self.cols);
+        if rows == 0 || cols == 0 {
+            return;
         }
+        let src = &self.data;
+        out.data
+            .par_chunks_mut(TT * rows)
+            .enumerate()
+            .for_each(|(band, dst)| {
+                let c0 = band * TT;
+                walk_tiles(dst.len() / rows, rows, false, |c, r| {
+                    dst[c * rows + r] = src[r * cols + c0 + c];
+                });
+            });
     }
 
     /// Dense matrix product `self * other`.
@@ -753,18 +792,15 @@ impl Matrix {
                     syrk_block(a, out_chunk, tile * MR_DOT, k, n);
                 });
         }
-        // Mirror into the strict lower triangle. Serial: it is a pure copy
-        // (memory bound) and keeping it single-threaded avoids any write
-        // ordering question.
-        for i in 1..n {
-            for j in 0..i {
-                out.data[i * n + j] = out.data[j * n + i];
-            }
-        }
+        // Mirror into the strict lower triangle, tile by tile. Serial: it
+        // reads rows that other row bands would write.
+        let o = &mut out.data;
+        walk_tiles(n, n, true, |j, i| o[i * n + j] = o[j * n + i]);
     }
 
     /// `self += other^T`. Requires `self` to be `n x m` where `other` is
-    /// `m x n`. Walked in 32x32 tiles so both operands stream through cache.
+    /// `m x n`. Parallel over bands of `TT` rows of `self` (disjoint
+    /// writes), each band walked in tiles.
     pub fn add_transpose_assign(&mut self, other: &Matrix) {
         assert_eq!(
             (self.rows, self.cols),
@@ -775,23 +811,27 @@ impl Matrix {
             other.rows,
             other.cols
         );
-        const TB: usize = 32;
         let (r, c) = (self.rows, self.cols);
-        for ib in (0..r).step_by(TB) {
-            for jb in (0..c).step_by(TB) {
-                for i in ib..(ib + TB).min(r) {
-                    let orow = &mut self.data[i * c..(i + 1) * c];
-                    for (j, o) in orow.iter_mut().enumerate().take((jb + TB).min(c)).skip(jb) {
-                        *o += other.data[j * other.cols + i];
-                    }
-                }
-            }
+        if r == 0 || c == 0 {
+            return;
         }
+        let src = &other.data;
+        self.data
+            .par_chunks_mut(TT * c)
+            .enumerate()
+            .for_each(|(band, dst)| {
+                let i0 = band * TT;
+                walk_tiles(dst.len() / c, c, false, |i, j| {
+                    dst[i * c + j] += src[j * r + i0 + i];
+                });
+            });
     }
 
     /// `self += self^T` for a square matrix. Off-diagonal pairs receive the
     /// same sum `m[i][j] + m[j][i]` on both sides, so the result is exactly
-    /// symmetric; diagonal entries are doubled.
+    /// symmetric; diagonal entries are doubled. Each pair is read and
+    /// written once, walked tile by tile over the upper triangle (serial:
+    /// every pair writes into two row bands).
     pub fn symmetrize_additive(&mut self) {
         assert_eq!(
             self.rows, self.cols,
@@ -799,14 +839,13 @@ impl Matrix {
             self.rows, self.cols
         );
         let n = self.rows;
-        for i in 0..n {
-            self.data[i * n + i] *= 2.0;
-            for j in (i + 1)..n {
-                let s = self.data[i * n + j] + self.data[j * n + i];
-                self.data[i * n + j] = s;
-                self.data[j * n + i] = s;
-            }
-        }
+        let m = &mut self.data;
+        // The diagonal is the pair (i, i): `m + m` is `2m` exactly.
+        walk_tiles(n, n, true, |i, j| {
+            let s = m[i * n + j] + m[j * n + i];
+            m[i * n + j] = s;
+            m[j * n + i] = s;
+        });
     }
 
     /// Element-wise in-place addition.

@@ -36,6 +36,15 @@
 //! intrinsics against these models is property-tested at odd lengths,
 //! `k < 8`, and empty inputs in `crates/linalg/tests/simd_contract.rs`.
 
+/// Input rows per reduction block of the AVX2 `transpose_matmul` panels.
+/// A block's `b` rows (`TM_ROW_BLOCK x oc`) and the chunk's `a` columns
+/// stay in L2 while every (row tile, column panel) pair of a chunk consumes
+/// them; streaming all input rows per pair instead re-reads a `b` larger
+/// than L2 from L3 once per pair. A fixed constant, not a tile knob:
+/// blocking the reduction never changes an element's fused chain, so no
+/// tune file names it.
+pub const TM_ROW_BLOCK: usize = 128;
+
 /// Safe scalar models of the AVX2 reduction contract. These are the
 /// *definition* of the AVX2 path's element-level bit behaviour; the
 /// intrinsic kernels must (and are tested to) reproduce them exactly.
@@ -457,6 +466,12 @@ pub(crate) mod avx2 {
     /// (each element a single fused chain, ascending `r`). The `a` scalars
     /// are strided broadcasts (`a[r*sc + c0 + m]`); `b` rows stream
     /// contiguously. Fully overwrites `out`.
+    ///
+    /// The reduction runs in blocks of [`super::TM_ROW_BLOCK`] input rows. The
+    /// first block starts every chain at zero; each later block reloads the
+    /// chain from `out`, where the previous block stored it. An f32 store
+    /// and load is exact, so each element is still one fused chain over
+    /// ascending `r`, bit-identical to the unblocked walk.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tm_rows_g<const MR: usize, const NV: usize>(
         a: &[f32],
@@ -471,51 +486,63 @@ pub(crate) mod avx2 {
         let (ab, bb, ob) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
         let jw = NV * 8;
         let j_main = oc - oc % jw;
-        let mut m0 = 0;
-        while m0 + MR <= rows {
-            let mut j = 0;
-            while j < j_main {
-                let mut acc = [[_mm256_setzero_ps(); NV]; MR];
-                for r in 0..nrows {
-                    let brow = bb.add(r * oc + j);
-                    let mut bv = [_mm256_setzero_ps(); NV];
-                    for v in 0..NV {
-                        bv[v] = _mm256_loadu_ps(brow.add(v * 8));
-                    }
-                    let arow = ab.add(r * sc + c0 + m0);
-                    for m in 0..MR {
-                        let av = _mm256_set1_ps(*arow.add(m));
-                        for v in 0..NV {
-                            acc[m][v] = _mm256_fmadd_ps(av, bv[v], acc[m][v]);
+        let m_main = rows - rows % MR;
+        let mut r0 = 0;
+        loop {
+            let r1 = (r0 + super::TM_ROW_BLOCK).min(nrows);
+            let first = r0 == 0;
+            let mut m0 = 0;
+            while m0 < m_main {
+                let mut j = 0;
+                while j < j_main {
+                    let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+                    if !first {
+                        for m in 0..MR {
+                            for v in 0..NV {
+                                acc[m][v] = _mm256_loadu_ps(ob.add((m0 + m) * oc + j + v * 8));
+                            }
                         }
                     }
-                }
-                for m in 0..MR {
-                    for v in 0..NV {
-                        _mm256_storeu_ps(ob.add((m0 + m) * oc + j + v * 8), acc[m][v]);
+                    for r in r0..r1 {
+                        let brow = bb.add(r * oc + j);
+                        let mut bv = [_mm256_setzero_ps(); NV];
+                        for v in 0..NV {
+                            bv[v] = _mm256_loadu_ps(brow.add(v * 8));
+                        }
+                        let arow = ab.add(r * sc + c0 + m0);
+                        for m in 0..MR {
+                            let av = _mm256_set1_ps(*arow.add(m));
+                            for v in 0..NV {
+                                acc[m][v] = _mm256_fmadd_ps(av, bv[v], acc[m][v]);
+                            }
+                        }
                     }
-                }
-                j += jw;
-            }
-            for m in 0..MR {
-                for jj in j_main..oc {
-                    let mut s = 0.0f32;
-                    for r in 0..nrows {
-                        s = (*ab.add(r * sc + c0 + m0 + m)).mul_add(*bb.add(r * oc + jj), s);
+                    for m in 0..MR {
+                        for v in 0..NV {
+                            _mm256_storeu_ps(ob.add((m0 + m) * oc + j + v * 8), acc[m][v]);
+                        }
                     }
-                    *ob.add((m0 + m) * oc + jj) = s;
+                    j += jw;
+                }
+                m0 += MR;
+            }
+            // Column tail of the full row tiles, then the remainder rows,
+            // per element.
+            for m in 0..rows {
+                let j_from = if m < m_main { j_main } else { 0 };
+                for jj in j_from..oc {
+                    let o = ob.add(m * oc + jj);
+                    let mut s = if first { 0.0f32 } else { *o };
+                    for r in r0..r1 {
+                        s = (*ab.add(r * sc + c0 + m)).mul_add(*bb.add(r * oc + jj), s);
+                    }
+                    *o = s;
                 }
             }
-            m0 += MR;
-        }
-        for m in m0..rows {
-            for jj in 0..oc {
-                let mut s = 0.0f32;
-                for r in 0..nrows {
-                    s = (*ab.add(r * sc + c0 + m)).mul_add(*bb.add(r * oc + jj), s);
-                }
-                *ob.add(m * oc + jj) = s;
+            if r1 == nrows {
+                break;
             }
+            r0 = r1;
         }
     }
 

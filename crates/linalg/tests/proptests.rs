@@ -227,3 +227,94 @@ proptest! {
         }
     }
 }
+
+/// Sizes around the transpose family's 8-wide tiles, plus the 4 KB row
+/// length (1024 floats) where a column walk maps to one L1 set.
+const TRANSPOSE_SIZES: [usize; 8] = [0, 1, 7, 8, 9, 1023, 1024, 1025];
+
+/// Square sizes and rectangular shapes the transpose tests cover.
+fn transpose_shapes() -> Vec<(usize, usize)> {
+    let mut shapes: Vec<(usize, usize)> = TRANSPOSE_SIZES.iter().map(|&n| (n, n)).collect();
+    shapes.extend([(1024, 7), (9, 1025), (1, 1023), (17, 8), (0, 5), (5, 0)]);
+    shapes
+}
+
+#[test]
+fn transpose_matches_naive_loop() {
+    for (rows, cols) in transpose_shapes() {
+        let m = dense(rows, cols, (rows * 7 + cols) as u64);
+        let t = m.transpose();
+        assert_eq!(t.shape(), (cols, rows));
+        let mut reused = Matrix::filled(3, 2, f32::NAN);
+        m.transpose_into(&mut reused);
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(
+                    t.get(c, r).to_bits(),
+                    m.get(r, c).to_bits(),
+                    "{rows}x{cols}"
+                );
+                assert_eq!(reused.get(c, r).to_bits(), m.get(r, c).to_bits());
+            }
+        }
+    }
+}
+
+#[test]
+fn add_transpose_assign_matches_naive_loop() {
+    for (rows, cols) in transpose_shapes() {
+        let base = dense(rows, cols, rows as u64);
+        let other = dense(cols, rows, cols as u64 ^ 0x55);
+        let mut got = base.clone();
+        got.add_transpose_assign(&other);
+        for i in 0..rows {
+            for j in 0..cols {
+                let want = base.get(i, j) + other.get(j, i);
+                assert_eq!(got.get(i, j).to_bits(), want.to_bits(), "{rows}x{cols}");
+            }
+        }
+    }
+}
+
+#[test]
+fn symmetrize_additive_matches_naive_loop() {
+    for n in TRANSPOSE_SIZES {
+        let base = dense(n, n, n as u64 ^ 0x77);
+        let mut got = base.clone();
+        got.symmetrize_additive();
+        for i in 0..n {
+            assert_eq!(got.get(i, i).to_bits(), (base.get(i, i) * 2.0).to_bits());
+            for j in (i + 1)..n {
+                let want = base.get(i, j) + base.get(j, i);
+                assert_eq!(got.get(i, j).to_bits(), want.to_bits(), "n {n} ({i},{j})");
+                assert_eq!(got.get(j, i).to_bits(), want.to_bits(), "n {n} ({j},{i})");
+            }
+        }
+    }
+}
+
+/// `syrk` computes the upper triangle and mirrors it; the mirror must
+/// reproduce the full `matmul_transpose` bitwise on either dispatch path.
+#[test]
+fn syrk_mirror_matches_matmul_transpose() {
+    for sel in [Selection::SCALAR, dispatch::current()] {
+        for n in TRANSPOSE_SIZES {
+            let a = dense(n, 3, n as u64 ^ 0x99);
+            let mut reused = Matrix::filled(n, n, f32::NAN);
+            let (gram, full) = dispatch::with_selection(sel, || {
+                a.syrk_into(&mut reused);
+                (a.syrk(), a.matmul_transpose(&a))
+            });
+            assert_eq!(gram.shape(), (n, n));
+            for ((x, y), z) in gram
+                .as_slice()
+                .iter()
+                .zip(full.as_slice())
+                .zip(reused.as_slice())
+            {
+                assert_eq!(x.to_bits(), y.to_bits(), "n {n} path {:?}", sel.path);
+                assert_eq!(z.to_bits(), y.to_bits(), "n {n} path {:?}", sel.path);
+            }
+        }
+    }
+}

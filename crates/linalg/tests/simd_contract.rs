@@ -190,6 +190,40 @@ proptest! {
     }
 }
 
+/// The AVX2 `transpose_matmul` walks its reduction in blocks of
+/// `simd::TM_ROW_BLOCK` input rows, storing each chain to `out` between
+/// blocks and reloading it. At reduction lengths around one and two blocks,
+/// for every panel geometry and with full tiles plus row and column tails,
+/// every element must still be one ascending fused chain.
+#[test]
+fn avx2_transpose_matmul_row_blocks_match_fused_model() {
+    if !avx2() {
+        return;
+    }
+    let block = e2gcl_linalg::simd::TM_ROW_BLOCK;
+    for (salt, r) in [block - 1, block, block + 1, 2 * block + 3]
+        .into_iter()
+        .enumerate()
+    {
+        for geom in TileConfig::MM_GEOMETRIES {
+            for (c, n) in [(9, 37), (8, 32), (1, 5)] {
+                let a = dense(r, c, salt as u64);
+                let b = dense(r, n, salt as u64 ^ 6);
+                let sel = avx2_sel((2, 4), geom, 2);
+                let got = dispatch::with_selection(sel, || a.transpose_matmul(&b));
+                let expect = ref_fused_matmul(&a.transpose(), &b);
+                for (x, y) in got.as_slice().iter().zip(expect.as_slice()) {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{r}x{c} ^T * {r}x{n} geom {geom:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn avx2_empty_rows_and_zero_k() {
     if !avx2() {
