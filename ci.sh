@@ -40,7 +40,10 @@
 #                                   in release mode
 #   7. serve smoke run            — train a tiny model, save an artifact,
 #                                   reload it, and answer a batch of top-k
-#                                   queries through the CLI
+#                                   queries through the CLI; an unknown
+#                                   E2GCL_KERNEL_CONFIG is a usage error
+#                                   (exit 2) and `scalar` is reported as the
+#                                   active dispatch path
 #   8. crash-safety smoke         — a fault-injected torn artifact write is
 #                                   quarantined on next load, and a durable
 #                                   training checkpoint lets `train --resume`
@@ -239,6 +242,16 @@ echo "$query_out" | grep -q "top-5 cosine neighbours"
 # pipe and kill the CLI mid-print.
 inductive_out=$(target/release/e2gcl-cli query --artifact="$artifact" --node=1 --k=3 --mode=inductive)
 echo "$inductive_out" | grep -q "top-3 cosine neighbours"
+# E2GCL_KERNEL_CONFIG accepts only `scalar` or `avx2`: anything else exits
+# 2 with the usage line, and a forced path is the one reported.
+code=0
+bogus_out=$(E2GCL_KERNEL_CONFIG=bogus target/release/e2gcl-cli kernels 2>&1) || code=$?
+if [ "$code" -ne 2 ]; then
+    echo "FAIL: E2GCL_KERNEL_CONFIG=bogus exited $code, not the usage error 2"; exit 1
+fi
+echo "$bogus_out" | grep -qF 'E2GCL_KERNEL_CONFIG accepts `scalar` or `avx2`'
+scalar_out=$(E2GCL_KERNEL_CONFIG=scalar target/release/e2gcl-cli kernels)
+echo "$scalar_out" | grep -qx 'dispatch path: scalar'
 
 stage 8 "crash-safety smoke: torn write -> quarantine -> resume"
 # Simulate a crash mid-save: --fault-torn-write leaves a truncated artifact

@@ -7,17 +7,14 @@
 //! * `scalar` — a serial single-accumulator reference replicating the
 //!   pre-PR-4 kernels bit-for-bit in structure,
 //! * `blocked` — the library's blocked micro-kernels forced onto the
-//!   scalar dispatch path (`Selection::SCALAR`), i.e. the pre-dispatch
+//!   scalar dispatch path (`DispatchPath::Scalar`), i.e. the pre-dispatch
 //!   code path, and
-//! * `simd` — the library under the *active* dispatch selection (AVX2+FMA
-//!   with autotuned tiles where the host supports it; identical to
-//!   `blocked` on scalar-only hosts).
+//! * `simd` — the library on the *active* dispatch path (AVX2+FMA where
+//!   the host supports it, or as `E2GCL_KERNEL_CONFIG` forces; identical
+//!   to `blocked` on the scalar path).
 //!
-//! Full mode first runs the autotuner ([`e2gcl_linalg::tune::ensure`]),
-//! persisting `kernel_tune.json` at the repo root, then measures under the
-//! tuned selection; `E2GCL_KERNEL_CONFIG` overrides this (no tuning).
-//! Detected CPU features, the dispatch path, selection source, and active
-//! tile configuration are printed up front (captured into
+//! Detected CPU features, the dispatch path, where it came from, and the
+//! path's fixed tile shapes are printed up front (captured into
 //! `bench-logs/kernel_bench.log`) and recorded in `BENCH_kernels.json` —
 //! top-level under `hardware`, and per entry as `dispatch`.
 //!
@@ -41,8 +38,8 @@ use e2gcl::prelude::*;
 use e2gcl_bench::flags::{exit_usage, FlagSet};
 use e2gcl_bench::report;
 use e2gcl_graph::{CsrGraph, SparseMatrix};
-use e2gcl_linalg::dispatch::{self, TileConfig};
-use e2gcl_linalg::{ops, tune, Matrix, Selection};
+use e2gcl_linalg::dispatch::{self, DispatchPath, ShapeClass};
+use e2gcl_linalg::{ops, Matrix};
 use e2gcl_nn::loss::{self, InfoNceScratch};
 use e2gcl_nn::{ContrastiveLoss, LocalizedInfoNce, Neighborhoods, SmallNegInfoNce};
 use serde::Serialize;
@@ -259,20 +256,22 @@ fn time_best<F: FnMut() -> f32>(reps: usize, mut f: F) -> (f64, f32) {
     (best, sink)
 }
 
-/// Detected hardware + the selection every `simd` measurement ran under.
+/// Detected hardware + the dispatch path every `simd` measurement ran on.
 /// Serialised at the top of `BENCH_kernels.json` so committed numbers are
-/// attributable to a concrete CPU feature set and tile configuration.
+/// attributable to a concrete CPU feature set and tile shapes.
 #[derive(Serialize)]
 struct HardwareInfo {
     cpu_features: Vec<String>,
     /// Dispatch path of the `simd` tier (`scalar` | `avx2`).
     dispatch_path: String,
-    /// Where the selection came from: autotuned this run, a loaded
-    /// `kernel_tune.json`, an `E2GCL_KERNEL_CONFIG` override, or defaults.
+    /// Where the path came from: an `E2GCL_KERNEL_CONFIG` override
+    /// (`env:…`) or detection (`detected-default`).
     selection_source: String,
-    tall_tiles: TileConfig,
-    square_tiles: TileConfig,
-    spmm_tiles: TileConfig,
+    /// The path's fixed tiles per shape class, as `TileConfig`'s `Debug`.
+    tall_tiles: String,
+    square_tiles: String,
+    /// SpMM output rows per rayon work item.
+    spmm_grain: usize,
 }
 
 #[derive(Serialize)]
@@ -371,15 +370,15 @@ struct KernelBenchDump {
     grace_epoch: Option<GraceEntry>,
 }
 
-/// Times `f` once per tier: under the forced-scalar selection (`blocked`)
-/// and under `active` (`simd`). When `active` *is* the scalar path the two
-/// tiers are the same code, so the blocked numbers are reused.
-fn two_tier<F: FnMut() -> f32>(active: Selection, reps: usize, mut f: F) -> (f64, f64) {
-    let (blocked_ms, _) = dispatch::with_selection(Selection::SCALAR, || time_best(reps, &mut f));
-    let simd_ms = if active.path == dispatch::DispatchPath::Scalar {
+/// Times `f` once per tier: on the forced scalar path (`blocked`) and on
+/// `active` (`simd`). When `active` *is* the scalar path the two tiers are
+/// the same code, so the blocked numbers are reused.
+fn two_tier<F: FnMut() -> f32>(active: DispatchPath, reps: usize, mut f: F) -> (f64, f64) {
+    let (blocked_ms, _) = dispatch::with_path(DispatchPath::Scalar, || time_best(reps, &mut f));
+    let simd_ms = if active == DispatchPath::Scalar {
         blocked_ms
     } else {
-        dispatch::with_selection(active, || time_best(reps, &mut f)).0
+        dispatch::with_path(active, || time_best(reps, &mut f)).0
     };
     (blocked_ms, simd_ms)
 }
@@ -390,7 +389,7 @@ fn gemm_case(
     d: usize,
     reps: usize,
     ref_reps: usize,
-    active: Selection,
+    active: DispatchPath,
 ) -> GemmEntry {
     let (a, b, m_out, n_out, k) = match kernel {
         // X(n x d) * W(d x d): the layer-forward shape.
@@ -421,7 +420,7 @@ fn gemm_case(
         n: n_out,
         k,
         reps,
-        dispatch: active.path.as_str().to_string(),
+        dispatch: active.as_str().to_string(),
         scalar_ms,
         blocked_ms,
         simd_ms,
@@ -445,7 +444,7 @@ fn synthetic_sparse(n: usize, degree: usize) -> SparseMatrix {
     SparseMatrix::from_triplets(n, n, &triplets)
 }
 
-fn spmm_case(n: usize, d: usize, reps: usize, active: Selection) -> SpmmEntry {
+fn spmm_case(n: usize, d: usize, reps: usize, active: DispatchPath) -> SpmmEntry {
     let s = synthetic_sparse(n, 16);
     let x = rand_matrix(n, d, 7);
     let flops = 2.0 * s.nnz() as f64 * d as f64;
@@ -456,7 +455,7 @@ fn spmm_case(n: usize, d: usize, reps: usize, active: Selection) -> SpmmEntry {
         d,
         nnz: s.nnz(),
         reps,
-        dispatch: active.path.as_str().to_string(),
+        dispatch: active.as_str().to_string(),
         scalar_ms,
         blocked_ms,
         simd_ms,
@@ -473,7 +472,7 @@ fn info_nce_case(
     d: usize,
     reps: usize,
     ref_reps: usize,
-    active: Selection,
+    active: DispatchPath,
 ) -> InfoNceEntry {
     let z1 = rand_matrix(n, d, 8);
     let z2 = rand_matrix(n, d, 9);
@@ -488,7 +487,7 @@ fn info_nce_case(
         n,
         d,
         reps,
-        dispatch: active.path.as_str().to_string(),
+        dispatch: active.as_str().to_string(),
         scalar_ms,
         blocked_ms,
         simd_ms,
@@ -501,11 +500,11 @@ fn info_nce_case(
 // Contrastive-loss n-scaling sweep (DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-fn full_loss_case(n: usize, d: usize, reps: usize, active: Selection) -> LossScalingEntry {
+fn full_loss_case(n: usize, d: usize, reps: usize, active: DispatchPath) -> LossScalingEntry {
     let z1 = rand_matrix(n, d, 12);
     let z2 = rand_matrix(n, d, 13);
     let mut s = InfoNceScratch::default();
-    let fwd_bwd_ms = dispatch::with_selection(active, || {
+    let fwd_bwd_ms = dispatch::with_path(active, || {
         let _ = loss::info_nce_with(&z1, &z2, 0.5, &mut s);
         time_best(reps, || loss::info_nce_with(&z1, &z2, 0.5, &mut s)).0
     });
@@ -515,7 +514,7 @@ fn full_loss_case(n: usize, d: usize, reps: usize, active: Selection) -> LossSca
         d,
         k: n,
         reps,
-        dispatch: active.path.as_str().to_string(),
+        dispatch: active.as_str().to_string(),
         fwd_bwd_ms,
         projected: false,
     }
@@ -543,7 +542,7 @@ fn smallneg_loss_case(
     d: usize,
     k: usize,
     reps: usize,
-    active: Selection,
+    active: DispatchPath,
 ) -> LossScalingEntry {
     let z1 = rand_matrix(n, d, 12);
     let z2 = rand_matrix(n, d, 13);
@@ -552,7 +551,7 @@ fn smallneg_loss_case(
     let negatives: Vec<usize> = (0..k).map(|i| i * n / k).collect();
     let mut strat = SmallNegInfoNce::new(0.5);
     strat.set_negatives(&negatives);
-    let fwd_bwd_ms = dispatch::with_selection(active, || {
+    let fwd_bwd_ms = dispatch::with_path(active, || {
         let _ = strat.compute(&z1, &z2);
         time_best(reps, || strat.compute(&z1, &z2)).0
     });
@@ -562,7 +561,7 @@ fn smallneg_loss_case(
         d,
         k,
         reps,
-        dispatch: active.path.as_str().to_string(),
+        dispatch: active.as_str().to_string(),
         fwd_bwd_ms,
         projected: false,
     }
@@ -573,7 +572,7 @@ fn localized_loss_case(
     d: usize,
     degree: usize,
     reps: usize,
-    active: Selection,
+    active: DispatchPath,
 ) -> LossScalingEntry {
     // Ring lattice: v connected to v±1..±(degree/2), so every 1-hop
     // neighbourhood has exactly `degree` negatives.
@@ -590,7 +589,7 @@ fn localized_loss_case(
     let z1 = rand_matrix(n, d, 12);
     let z2 = rand_matrix(n, d, 13);
     let mut strat = LocalizedInfoNce::new(0.5, nb);
-    let fwd_bwd_ms = dispatch::with_selection(active, || {
+    let fwd_bwd_ms = dispatch::with_path(active, || {
         let _ = strat.compute(&z1, &z2);
         time_best(reps, || strat.compute(&z1, &z2)).0
     });
@@ -600,7 +599,7 @@ fn localized_loss_case(
         d,
         k,
         reps,
-        dispatch: active.path.as_str().to_string(),
+        dispatch: active.as_str().to_string(),
         fwd_bwd_ms,
         projected: false,
     }
@@ -625,7 +624,7 @@ fn print_loss_scaling(entries: &[LossScalingEntry]) {
     }
 }
 
-fn grace_epoch_case(active: Selection) -> Option<GraceEntry> {
+fn grace_epoch_case(active: DispatchPath) -> Option<GraceEntry> {
     let ds = match spec("cora-sim") {
         Ok(s) => s,
         Err(e) => {
@@ -641,7 +640,7 @@ fn grace_epoch_case(active: Selection) -> Option<GraceEntry> {
     };
     let model = GraceModel::grace();
     let t = Instant::now();
-    let out = dispatch::with_selection(active, || {
+    let out = dispatch::with_path(active, || {
         model.pretrain(&data.graph, &data.features, &cfg, &mut SeedRng::new(11))
     });
     let total_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -650,7 +649,7 @@ fn grace_epoch_case(active: Selection) -> Option<GraceEntry> {
             dataset: data.name.clone(),
             nodes: data.num_nodes(),
             epochs,
-            dispatch: active.path.as_str().to_string(),
+            dispatch: active.as_str().to_string(),
             total_ms,
             ms_per_epoch: total_ms / epochs as f64,
         }),
@@ -903,51 +902,31 @@ fn main() {
     let mode = if quick { "quick" } else { "full" };
     println!("kernel_bench — mode: {mode}");
 
-    // Resolve the selection the `simd` tier runs under. An explicit
-    // E2GCL_KERNEL_CONFIG always wins (and suppresses tuning); otherwise
-    // full mode autotunes (persisting kernel_tune.json at the repo root)
-    // and quick mode uses the library's normal resolution, which loads the
-    // committed kernel_tune.json when present.
+    // The path the `simd` tier runs on: E2GCL_KERNEL_CONFIG, else detection.
     if let Some(err) = dispatch::startup_error() {
         eprintln!("kernel_bench: {err}\n{}", dispatch::CONFIG_USAGE);
         std::process::exit(2);
     }
-    for ev in dispatch::startup_events() {
-        println!("[dispatch] {ev}");
-    }
-    let (active, source) = if std::env::var(dispatch::CONFIG_ENV).is_ok() || quick {
-        (dispatch::active_selection(), dispatch::active_source())
-    } else {
-        let outcome = tune::ensure(dispatch::TUNE_FILE_DEFAULT);
-        for ev in &outcome.events {
-            println!("[tune] {ev}");
-        }
-        let src = if outcome.tuned_now {
-            format!("autotuned this run -> {}", dispatch::TUNE_FILE_DEFAULT)
-        } else {
-            format!("loaded {}", dispatch::TUNE_FILE_DEFAULT)
-        };
-        (outcome.tune.selection(), src)
-    };
+    let active = dispatch::current_path();
     let hardware = HardwareInfo {
         cpu_features: dispatch::detected_features()
             .into_iter()
             .map(str::to_string)
             .collect(),
-        dispatch_path: active.path.as_str().to_string(),
-        selection_source: source,
-        tall_tiles: active.tall,
-        square_tiles: active.square,
-        spmm_tiles: active.spmm,
+        dispatch_path: active.as_str().to_string(),
+        selection_source: dispatch::active_source(),
+        tall_tiles: format!("{:?}", active.tiles(ShapeClass::TallSkinny)),
+        square_tiles: format!("{:?}", active.tiles(ShapeClass::Square)),
+        spmm_grain: active.spmm_grain(),
     };
     println!(
-        "cpu features: [{}]\ndispatch: {} (source: {})\ntiles: tall={:?} square={:?} spmm={:?}",
+        "cpu features: [{}]\ndispatch: {} (source: {})\ntiles: tall={} square={} spmm grain={}",
         hardware.cpu_features.join(" "),
         hardware.dispatch_path,
         hardware.selection_source,
         hardware.tall_tiles,
         hardware.square_tiles,
-        hardware.spmm_tiles
+        hardware.spmm_grain
     );
 
     let shapes: Vec<(usize, usize)> = if quick {

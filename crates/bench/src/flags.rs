@@ -50,6 +50,9 @@ pub enum FlagError {
 impl fmt::Display for FlagError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FlagError::Unknown { flag, allowed } if allowed.is_empty() => {
+                write!(f, "unknown flag '{flag}'; this command takes no flags")
+            }
             FlagError::Unknown { flag, allowed } => {
                 write!(f, "unknown flag '{flag}'; accepted: {}", allowed.join(", "))
             }
@@ -246,6 +249,13 @@ mod tests {
             }
             other => panic!("expected Unknown, got {other:?}"),
         }
+        let err = FlagSet::default()
+            .parse(&argv(&["--tune", "x"]))
+            .expect_err("no flags are declared");
+        assert_eq!(
+            err.to_string(),
+            "unknown flag '--tune'; this command takes no flags"
+        );
     }
 
     /// The loss-strategy flags `kernel_bench` grew with the sub-quadratic

@@ -817,52 +817,24 @@ pub fn serve_bench(argv: &[String]) -> i32 {
 }
 
 /// `e2gcl kernels` — report the dense-kernel dispatch state: detected CPU
-/// features, the active dispatch path and tile configuration, where the
-/// selection came from (`E2GCL_KERNEL_CONFIG`, a `kernel_tune.json`, or
-/// detected defaults), and any resolution events (quarantined corrupt tune
-/// files, ignored feature mismatches). With `--tune <path>` it first runs
-/// the autotuner and persists the winning configuration to `<path>`.
+/// features, the active dispatch path and its fixed tile shapes, and where
+/// the path came from (`E2GCL_KERNEL_CONFIG` or detection).
 pub fn kernels(argv: &[String]) -> i32 {
     run_or_usage((|| {
-        let args = parse(argv, &[&["tune"]])?;
-        use e2gcl_linalg::{dispatch, tune};
+        parse(argv, &[])?;
+        use e2gcl_linalg::dispatch::{self, ShapeClass};
+        let path = dispatch::current_path();
         println!(
             "cpu features:  [{}]",
             dispatch::detected_features().join(" ")
         );
-        let tune_path = args.get("tune", "");
-        if !tune_path.is_empty() {
-            let out = tune::ensure(&tune_path);
-            for ev in &out.events {
-                println!("[tune] {ev}");
-            }
-            println!(
-                "{} {}: path={} tall={:?} square={:?} spmm={:?}",
-                if out.tuned_now {
-                    "autotuned and wrote"
-                } else {
-                    "loaded valid"
-                },
-                tune_path,
-                out.tune.path,
-                out.tune.tall,
-                out.tune.square,
-                out.tune.spmm
-            );
-            println!(
-                "(a tune file takes effect when the process starts from its \
-                 directory or via E2GCL_KERNEL_CONFIG={tune_path})"
-            );
-        }
-        for ev in dispatch::startup_events() {
-            println!("[dispatch] {ev}");
-        }
-        let sel = dispatch::active_selection();
-        println!("dispatch path: {}", sel.path.as_str());
+        println!("dispatch path: {path}");
         println!("source:        {}", dispatch::active_source());
         println!(
-            "tiles:         tall={:?} square={:?} spmm={:?}",
-            sel.tall, sel.square, sel.spmm
+            "tiles:         tall={:?} square={:?} spmm grain={}",
+            path.tiles(ShapeClass::TallSkinny),
+            path.tiles(ShapeClass::Square),
+            path.spmm_grain()
         );
         Ok(0)
     })())
@@ -882,6 +854,7 @@ mod tests {
         assert_eq!(pretrain(&argv("--epoch 3")), 2);
         assert_eq!(query(&argv("--artifact=model.e2gcl --nodes 5")), 2);
         assert_eq!(kernels(&argv("--bench")), 2);
+        assert_eq!(kernels(&argv("--tune x")), 2);
         assert_eq!(select(&argv("--scale 0.05 --ratio 0.1")), 0);
         let err = parse(&argv("--ratoi 0.1"), &[COMMON, &["ratio"]]).unwrap_err();
         let msg = err.to_string();

@@ -10,7 +10,7 @@
 //! e2gcl query     --artifact model.e2gcl [...] top-k similarity over an artifact
 //! e2gcl build-index --artifact model.e2gcl     build + save a deterministic IVF index
 //! e2gcl serve-bench [...]                      batch-serving latency percentiles
-//! e2gcl kernels [--tune kernel_tune.json]      kernel dispatch state / autotuner
+//! e2gcl kernels                                kernel dispatch state
 //! ```
 //!
 //! Options accept both `--flag value` and `--flag=value`; an option a
@@ -20,10 +20,9 @@ mod args;
 mod commands;
 
 fn main() {
-    // Fail fast on an invalid E2GCL_KERNEL_CONFIG (unknown value, missing or
-    // corrupt tune file, feature mismatch) instead of silently running on
-    // the fallback kernels. Implicit ./kernel_tune.json problems are
-    // non-fatal: they are quarantined/ignored and reported by `kernels`.
+    // Fail fast on an invalid E2GCL_KERNEL_CONFIG (an unknown value, or
+    // `avx2` on a host without AVX2+FMA) instead of silently running on the
+    // fallback kernels.
     if let Some(err) = e2gcl_linalg::dispatch::startup_error() {
         eprintln!("e2gcl: kernel config error: {err}");
         eprintln!("{}", e2gcl_linalg::dispatch::CONFIG_USAGE);
@@ -79,9 +78,9 @@ COMMANDS:
     help        show this message
 
 ENVIRONMENT:
-    E2GCL_KERNEL_CONFIG  scalar | avx2 | <path to kernel_tune.json> — forces
-                         the dense-kernel dispatch path; unset probes
-                         ./kernel_tune.json, else detected defaults
+    E2GCL_KERNEL_CONFIG  scalar | avx2 — forces the dense-kernel dispatch
+                         path; unset picks avx2 where the host has AVX2+FMA,
+                         else scalar
 
 Options are `--flag value` or `--flag=value`; a flag the command does not
 accept is a usage error (exit 2) that lists the accepted flags.
@@ -177,8 +176,7 @@ SERVE-BENCH:
                          n-th query to exercise degradation (default 7)
 
 KERNELS:
-    --tune <path>        run the kernel autotuner and persist the winning
-                         tile configuration to <path> (corrupt files are
-                         quarantined to <path>.corrupt and re-tuned)"
+    takes no options; prints the CPU features, the dispatch path, where it
+    came from (E2GCL_KERNEL_CONFIG or detection) and its fixed tile shapes"
     );
 }

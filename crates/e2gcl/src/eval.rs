@@ -35,31 +35,6 @@ pub fn node_classification_accuracy(
     probe.accuracy(embeddings, labels, &split.test)
 }
 
-/// Confusion-matrix evaluation on one split: returns `(accuracy, macro-F1)`
-/// plus the matrix itself for error analysis.
-pub fn node_classification_report(
-    embeddings: &Matrix,
-    labels: &[usize],
-    num_classes: usize,
-    seed: u64,
-) -> (f32, f32, crate::metrics::ConfusionMatrix) {
-    let mut rng = SeedRng::new(seed ^ 0xe7a1);
-    let split = NodeSplit::paper(embeddings.rows(), &mut rng);
-    let probe = LinearProbe::fit(
-        embeddings,
-        labels,
-        &split.train,
-        num_classes,
-        &ProbeConfig::default(),
-        &mut rng,
-    );
-    let preds = probe.predict(embeddings);
-    let truth: Vec<usize> = split.test.iter().map(|&v| labels[v]).collect();
-    let test_preds: Vec<usize> = split.test.iter().map(|&v| preds[v]).collect();
-    let cm = crate::metrics::ConfusionMatrix::from_predictions(&truth, &test_preds, num_classes);
-    (cm.accuracy(), cm.macro_f1(), cm)
-}
-
 /// Mean ± std accuracy over `runs` random splits (the paper reports 10).
 pub fn node_classification(
     embeddings: &Matrix,

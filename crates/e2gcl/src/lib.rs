@@ -51,7 +51,6 @@ pub use e2gcl_linalg::durable;
 pub mod engine;
 pub mod eval;
 pub mod guard;
-pub mod metrics;
 pub mod models;
 pub mod pipeline;
 

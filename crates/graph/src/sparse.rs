@@ -145,11 +145,11 @@ impl SparseMatrix {
         let xs = x.as_slice();
         #[cfg(target_arch = "x86_64")]
         {
-            // Selection captured on the calling thread (rayon workers are
-            // fresh OS threads with no thread-local dispatch override).
-            let sel = e2gcl_linalg::dispatch::current();
-            if sel.path == e2gcl_linalg::DispatchPath::Avx2 {
-                let grain = sel.spmm.grain as usize;
+            // Path captured on the calling thread (rayon workers are fresh
+            // OS threads with no thread-local dispatch override).
+            let path = e2gcl_linalg::dispatch::current_path();
+            if path == e2gcl_linalg::DispatchPath::Avx2 {
+                let grain = path.spmm_grain();
                 out.as_mut_slice()
                     .par_chunks_mut(grain * d)
                     .enumerate()

@@ -1,61 +1,44 @@
-//! Runtime kernel dispatch: CPU feature detection, the per-shape-class tile
-//! configuration, and resolution of the `E2GCL_KERNEL_CONFIG` override.
+//! Runtime kernel dispatch: CPU feature detection, the fixed tile shapes of
+//! each dispatch path, and resolution of the `E2GCL_KERNEL_CONFIG`
+//! override.
 //!
-//! # Resolution order (fixed, documented in DESIGN.md §16)
+//! # Resolution (documented in DESIGN.md §16)
 //!
-//! 1. `E2GCL_KERNEL_CONFIG=scalar` — force the PR 4 scalar blocked path.
-//! 2. `E2GCL_KERNEL_CONFIG=avx2` — force the AVX2+FMA path with default
-//!    tiles; a typed [`KernelConfigError::FeatureUnavailable`] is recorded
-//!    (and the library falls back to scalar) if the host lacks AVX2+FMA.
-//! 3. `E2GCL_KERNEL_CONFIG=<path>` — load a persisted [`tune`] file. A
-//!    missing or corrupt explicitly-named file is a typed error (corrupt
-//!    files are quarantined to `<path>.corrupt` first by
-//!    [`crate::durable::load`], like every durable file); the library
-//!    falls back to detected defaults and the CLI turns the recorded error
-//!    into a usage message + exit.
-//! 4. Unset — load `./kernel_tune.json` if present and valid for the
-//!    detected feature set. A corrupt implicit file is quarantined and a
-//!    feature-mismatched one ignored (both recorded as [`startup_events`]); either
-//!    way resolution continues with detected defaults. The library never
-//!    *writes* the tune file — only `kernel_bench` (first-run autotune) and
-//!    `e2gcl kernels --tune` do, via [`crate::tune::ensure`].
+//! * `E2GCL_KERNEL_CONFIG=scalar` — force the scalar blocked path.
+//! * `E2GCL_KERNEL_CONFIG=avx2` — force the AVX2+FMA path; a typed
+//!   [`KernelConfigError::FeatureUnavailable`] is recorded (and the library
+//!   falls back to scalar) if the host lacks AVX2+FMA.
+//! * Unset — AVX2+FMA where the host has it, else scalar.
+//! * Any other value — a typed [`KernelConfigError::UnknownValue`]; the
+//!   library falls back to the detected path and the CLI turns the
+//!   recorded error into a usage message + exit.
 //!
 //! Resolution runs once per process ([`std::sync::OnceLock`]) so every
-//! kernel in the process agrees on the path. Tests pin a configuration
-//! without env vars via [`with_selection`], which installs a thread-local
-//! override — kernel entry points capture [`current`] **once on the calling
-//! thread** and pass the `Copy` [`Selection`] into rayon workers (the
-//! vendored rayon spawns fresh OS threads that do not inherit thread-locals).
-//!
-//! [`tune`]: crate::tune
+//! kernel in the process agrees on the path. Tests pin a path without env
+//! vars via [`with_path`], which installs a thread-local override — kernel
+//! entry points capture [`current_path`] **once on the calling thread** and
+//! pass the `Copy` [`DispatchPath`] into rayon workers (the vendored rayon
+//! spawns fresh OS threads that do not inherit thread-locals).
 
-use crate::durable::DurableError;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Environment variable overriding kernel dispatch (`scalar`, `avx2`, or a
-/// path to a persisted `kernel_tune.json`).
+/// Environment variable overriding kernel dispatch (`scalar` or `avx2`).
 pub const CONFIG_ENV: &str = "E2GCL_KERNEL_CONFIG";
-
-/// Default tune-file name probed in the working directory when
-/// [`CONFIG_ENV`] is unset.
-pub const TUNE_FILE_DEFAULT: &str = "kernel_tune.json";
 
 /// One-line usage blurb for [`CONFIG_ENV`], shared by the CLI and bench
 /// error paths.
-pub const CONFIG_USAGE: &str =
-    "E2GCL_KERNEL_CONFIG accepts `scalar`, `avx2`, or a path to a kernel_tune.json \
-     produced by `kernel_bench` or `e2gcl kernels --tune`";
+pub const CONFIG_USAGE: &str = "E2GCL_KERNEL_CONFIG accepts `scalar` or `avx2`; unset picks \
+     avx2 where the host has AVX2+FMA, else scalar";
 
 /// Which micro-kernel family executes the dense hot path. Within a path,
-/// every tile configuration is bit-identical (tile geometry never changes
+/// every tile shape is bit-identical (tile geometry never changes
 /// per-element reduction order); across paths bits differ (the AVX2 path
 /// uses the 8-lane fused contract of [`crate::simd::model`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DispatchPath {
-    /// PR 4 scalar blocked kernels (the `ops::lane_dot` 4-lane contract).
+    /// Scalar blocked kernels (the `ops::lane_dot` 4-lane contract).
     Scalar,
     /// AVX2+FMA micro-kernels (the `simd::model::lane_dot8` contract).
     Avx2,
@@ -74,6 +57,23 @@ impl DispatchPath {
             "scalar" => Some(DispatchPath::Scalar),
             "avx2" => Some(DispatchPath::Avx2),
             _ => None,
+        }
+    }
+
+    /// The tiles this path uses for dense outputs of `class`.
+    pub const fn tiles(self, class: ShapeClass) -> TileConfig {
+        match (self, class) {
+            (DispatchPath::Scalar, _) => TileConfig::SCALAR,
+            (DispatchPath::Avx2, ShapeClass::TallSkinny) => TileConfig::AVX2_TALL,
+            (DispatchPath::Avx2, ShapeClass::Square) => TileConfig::AVX2_SQUARE,
+        }
+    }
+
+    /// SpMM output rows per rayon work item on this path.
+    pub const fn spmm_grain(self) -> usize {
+        match self {
+            DispatchPath::Scalar => 1,
+            DispatchPath::Avx2 => 16,
         }
     }
 
@@ -120,61 +120,60 @@ impl fmt::Display for DispatchPath {
     }
 }
 
-/// Tile/grain configuration for one matrix-shape class. Geometry fields
-/// select among compiled micro-kernel instantiations; `grain` scales how
-/// many tile-rows one rayon work item covers. None of these affect bits —
-/// they are pure performance knobs (see module docs of [`crate::simd`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Register-tile geometry and parallel grain of the dense kernels for one
+/// dispatch path and shape class ([`DispatchPath::tiles`]). Compile-time
+/// constants: the AVX2 kernels are instantiated for exactly these
+/// geometries. None of the fields changes a bit — they only decide which
+/// disjoint output tiles a rayon work item owns (see [`crate::simd`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
     /// Axpy-panel rows (`matmul` / `transpose_matmul` register tile).
-    pub mm_mr: u8,
-    /// Axpy-panel width in ymm vectors (8 columns each).
-    pub mm_nv: u8,
+    pub mm_mr: usize,
+    /// Axpy-panel width in 8-column vectors.
+    pub mm_nv: usize,
     /// Dot-tile rows (`matmul_transpose` / `syrk`).
-    pub dot_mr: u8,
+    pub dot_mr: usize,
     /// Dot-tile columns.
-    pub dot_nr: u8,
-    /// Tile-row groups per rayon work item.
-    pub grain: u8,
+    pub dot_nr: usize,
+    /// Tile rows per rayon work item.
+    pub grain: usize,
 }
 
 impl TileConfig {
-    /// Dot-tile geometries the AVX2 kernels are compiled for.
-    pub const DOT_GEOMETRIES: [(u8, u8); 3] = [(1, 4), (2, 4), (4, 2)];
-    /// Axpy-panel geometries the AVX2 kernels are compiled for.
-    pub const MM_GEOMETRIES: [(u8, u8); 3] = [(2, 4), (4, 2), (4, 1)];
-    /// Parallel-grain candidates the autotuner sweeps.
-    pub const GRAINS: [u8; 3] = [1, 4, 16];
-
-    /// Scalar-path default: grain 1 reproduces the PR 4 chunking exactly
-    /// (geometry fields are unused — the scalar tiles are compile-time
-    /// constants in `matrix.rs`).
+    /// The scalar blocked kernels of `matrix.rs`: 4×8 axpy and 2×4 dot
+    /// tiles, one tile row per work item.
     pub const SCALAR: TileConfig = TileConfig {
         mm_mr: 4,
-        mm_nv: 2,
+        mm_nv: 1,
         dot_mr: 2,
         dot_nr: 4,
         grain: 1,
     };
 
-    /// AVX2-path default before any autotune has run.
-    pub const AVX2: TileConfig = TileConfig {
+    /// AVX2 tiles for tall-skinny outputs (n×d embedding products). These
+    /// and [`TileConfig::AVX2_SQUARE`] are the shapes a per-host autotuner
+    /// picked on the reference AVX2 host, as `BENCH_kernels.json`'s
+    /// `hardware` section records. Tile shapes never move a bit, so they
+    /// are fixed here instead of tuned per host.
+    pub const AVX2_TALL: TileConfig = TileConfig {
+        mm_mr: 2,
+        mm_nv: 4,
+        dot_mr: 4,
+        dot_nr: 2,
+        grain: 16,
+    };
+
+    /// AVX2 tiles for square-ish outputs (similarity blocks).
+    pub const AVX2_SQUARE: TileConfig = TileConfig {
         mm_mr: 4,
         mm_nv: 2,
         dot_mr: 2,
         dot_nr: 4,
-        grain: 4,
+        grain: 16,
     };
-
-    /// Whether the geometry fields name compiled kernel instantiations.
-    pub fn is_valid(&self) -> bool {
-        Self::DOT_GEOMETRIES.contains(&(self.dot_mr, self.dot_nr))
-            && Self::MM_GEOMETRIES.contains(&(self.mm_mr, self.mm_nv))
-            && self.grain >= 1
-    }
 }
 
-/// Matrix-shape classes the autotuner distinguishes. Classification keys on
+/// Dense output shape classes with their own tiles. Classification keys on
 /// the *output* aspect ratio: embedding-style products (n×d against d×d,
 /// n ≫ d) behave differently from square-ish similarity blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,8 +182,6 @@ pub enum ShapeClass {
     TallSkinny,
     /// Everything else dense.
     Square,
-    /// Sparse-times-dense panels.
-    Spmm,
 }
 
 impl ShapeClass {
@@ -195,59 +192,6 @@ impl ShapeClass {
             ShapeClass::TallSkinny
         } else {
             ShapeClass::Square
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShapeClass::TallSkinny => "tall",
-            ShapeClass::Square => "square",
-            ShapeClass::Spmm => "spmm",
-        }
-    }
-}
-
-/// The full resolved kernel configuration: one dispatch path plus a tile
-/// config per shape class. Small and `Copy` so kernel entry points can
-/// capture it once and move it into rayon closures by value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Selection {
-    pub path: DispatchPath,
-    pub tall: TileConfig,
-    pub square: TileConfig,
-    pub spmm: TileConfig,
-}
-
-impl Selection {
-    pub const SCALAR: Selection = Selection {
-        path: DispatchPath::Scalar,
-        tall: TileConfig::SCALAR,
-        square: TileConfig::SCALAR,
-        spmm: TileConfig::SCALAR,
-    };
-
-    pub const AVX2: Selection = Selection {
-        path: DispatchPath::Avx2,
-        tall: TileConfig::AVX2,
-        square: TileConfig::AVX2,
-        spmm: TileConfig::AVX2,
-    };
-
-    /// The default selection for the detected feature set.
-    pub fn detected_default() -> Selection {
-        if avx2_available() {
-            Selection::AVX2
-        } else {
-            Selection::SCALAR
-        }
-    }
-
-    /// Tile config for a dense output of `rows x cols`.
-    #[inline]
-    pub fn tiles_for(&self, rows: usize, cols: usize) -> TileConfig {
-        match ShapeClass::of_output(rows, cols) {
-            ShapeClass::TallSkinny => self.tall,
-            _ => self.square,
         }
     }
 }
@@ -266,7 +210,7 @@ pub fn avx2_available() -> bool {
 }
 
 /// The CPU feature names relevant to dispatch that this host advertises, in
-/// a fixed order (recorded in bench artifacts and the tune file).
+/// a fixed order (recorded in bench artifacts).
 pub fn detected_features() -> Vec<&'static str> {
     let mut out = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -291,27 +235,12 @@ pub fn detected_features() -> Vec<&'static str> {
 }
 
 /// Typed failures resolving the kernel configuration. The library never
-/// panics on these: it records the error, falls back to a safe selection,
+/// panics on these: it records the error, falls back to the detected path,
 /// and lets the CLI/bench front-ends surface it (see [`startup_error`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelConfigError {
-    /// `E2GCL_KERNEL_CONFIG` named a path that does not exist and is not a
-    /// recognised keyword.
-    MissingFile { path: String },
-    /// An explicitly-named tune file failed to parse or validate; it has
-    /// been quarantined to `<path>.corrupt` when possible.
-    Corrupt {
-        path: String,
-        cause: String,
-        quarantined_to: Option<String>,
-    },
-    /// An explicitly-named tune file was produced under a feature set this
-    /// host does not satisfy (e.g. an `avx2` tune on a scalar-only host).
-    FeatureMismatch {
-        path: String,
-        file_features: String,
-        host_features: String,
-    },
+    /// `E2GCL_KERNEL_CONFIG` is neither `scalar` nor `avx2`.
+    UnknownValue { value: String },
     /// `E2GCL_KERNEL_CONFIG=avx2` on a host without AVX2+FMA.
     FeatureUnavailable { requested: String },
 }
@@ -319,27 +248,14 @@ pub enum KernelConfigError {
 impl fmt::Display for KernelConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KernelConfigError::MissingFile { path } => {
-                write!(f, "kernel config `{path}` is not a file (and not a keyword)")
+            KernelConfigError::UnknownValue { value } => {
+                write!(f, "kernel config `{value}` is not `scalar` or `avx2`")
             }
-            KernelConfigError::Corrupt {
-                path,
-                cause,
-                quarantined_to,
-            } => match quarantined_to {
-                Some(q) => write!(f, "kernel tune file {path} is corrupt ({cause}); quarantined to {q}"),
-                None => write!(f, "kernel tune file {path} is corrupt ({cause})"),
-            },
-            KernelConfigError::FeatureMismatch {
-                path,
-                file_features,
-                host_features,
-            } => write!(
-                f,
-                "kernel tune file {path} was tuned for [{file_features}] but this host has [{host_features}]"
-            ),
             KernelConfigError::FeatureUnavailable { requested } => {
-                write!(f, "kernel path `{requested}` requires AVX2+FMA, which this host lacks")
+                write!(
+                    f,
+                    "kernel path `{requested}` requires AVX2+FMA, which this host lacks"
+                )
             }
         }
     }
@@ -347,188 +263,73 @@ impl fmt::Display for KernelConfigError {
 
 impl std::error::Error for KernelConfigError {}
 
-/// Where the active selection came from (recorded in bench artifacts).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SelectionSource {
-    /// Detected defaults, no tune file involved.
-    Default,
-    /// Forced by `E2GCL_KERNEL_CONFIG=scalar|avx2`.
-    Env(&'static str),
-    /// Loaded from a persisted tune file.
-    File(String),
-}
-
-impl fmt::Display for SelectionSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SelectionSource::Default => f.write_str("detected-default"),
-            SelectionSource::Env(v) => write!(f, "env:{v}"),
-            SelectionSource::File(p) => write!(f, "file:{p}"),
-        }
-    }
-}
-
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 struct Resolved {
-    selection: Selection,
-    source: SelectionSource,
+    path: DispatchPath,
+    /// Whether [`CONFIG_ENV`] chose `path` (else it is the detected one).
+    forced: bool,
     error: Option<KernelConfigError>,
-    events: Vec<String>,
+}
+
+/// Resolves [`CONFIG_ENV`]'s value (`None` when unset) on a host that does
+/// (`avx2`) or does not have AVX2+FMA.
+fn resolve(value: Option<&str>, avx2: bool) -> Resolved {
+    let detected = |error| Resolved {
+        path: if avx2 {
+            DispatchPath::Avx2
+        } else {
+            DispatchPath::Scalar
+        },
+        forced: false,
+        error,
+    };
+    match value.map(|v| (v, DispatchPath::parse(v))) {
+        None => detected(None),
+        Some((v, Some(DispatchPath::Avx2))) if !avx2 => {
+            detected(Some(KernelConfigError::FeatureUnavailable {
+                requested: v.to_string(),
+            }))
+        }
+        Some((_, Some(path))) => Resolved {
+            path,
+            forced: true,
+            error: None,
+        },
+        Some((v, None)) => detected(Some(KernelConfigError::UnknownValue {
+            value: v.to_string(),
+        })),
+    }
 }
 
 static RESOLVED: OnceLock<Resolved> = OnceLock::new();
 
-fn resolve() -> Resolved {
-    match std::env::var(CONFIG_ENV) {
-        Ok(v) if v == "scalar" => Resolved {
-            selection: Selection::SCALAR,
-            source: SelectionSource::Env("scalar"),
-            error: None,
-            events: Vec::new(),
-        },
-        Ok(v) if v == "avx2" => {
-            if avx2_available() {
-                Resolved {
-                    selection: Selection::AVX2,
-                    source: SelectionSource::Env("avx2"),
-                    error: None,
-                    events: Vec::new(),
-                }
-            } else {
-                Resolved {
-                    selection: Selection::SCALAR,
-                    source: SelectionSource::Default,
-                    error: Some(KernelConfigError::FeatureUnavailable {
-                        requested: "avx2".to_string(),
-                    }),
-                    events: vec!["forced avx2 unavailable; fell back to scalar".to_string()],
-                }
-            }
-        }
-        Ok(path) => resolve_explicit_file(&path),
-        Err(_) => resolve_implicit(),
-    }
-}
-
-/// `E2GCL_KERNEL_CONFIG=<path>`: failures are typed errors (fatal at the
-/// CLI), but the library still gets a working fallback selection.
-fn resolve_explicit_file(path: &str) -> Resolved {
-    if !std::path::Path::new(path).is_file() {
-        return Resolved {
-            selection: Selection::detected_default(),
-            source: SelectionSource::Default,
-            error: Some(KernelConfigError::MissingFile {
-                path: path.to_string(),
-            }),
-            events: Vec::new(),
-        };
-    }
-    match crate::tune::load(path) {
-        Ok(tune) => match tune.check_host() {
-            Ok(()) => Resolved {
-                selection: tune.selection(),
-                source: SelectionSource::File(path.to_string()),
-                error: None,
-                events: Vec::new(),
-            },
-            Err(err) => Resolved {
-                selection: Selection::detected_default(),
-                source: SelectionSource::Default,
-                error: Some(err),
-                events: Vec::new(),
-            },
-        },
-        Err(err) => {
-            let (cause, quarantined_to) = match err {
-                DurableError::Quarantined {
-                    quarantined_to,
-                    cause,
-                } => (cause.to_string(), Some(quarantined_to)),
-                other => (other.to_string(), None),
-            };
-            Resolved {
-                selection: Selection::detected_default(),
-                source: SelectionSource::Default,
-                error: Some(KernelConfigError::Corrupt {
-                    path: path.to_string(),
-                    cause,
-                    quarantined_to,
-                }),
-                events: Vec::new(),
-            }
-        }
-    }
-}
-
-/// No env override: probe `./kernel_tune.json`, degrading gracefully —
-/// corrupt files are quarantined, mismatched ones ignored, and either way
-/// the process continues on detected defaults (retuning happens on the next
-/// `kernel_bench` / `e2gcl kernels --tune` run, never here).
-fn resolve_implicit() -> Resolved {
-    let path = TUNE_FILE_DEFAULT;
-    if !std::path::Path::new(path).is_file() {
-        return Resolved {
-            selection: Selection::detected_default(),
-            source: SelectionSource::Default,
-            error: None,
-            events: Vec::new(),
-        };
-    }
-    match crate::tune::load(path) {
-        Ok(tune) => match tune.check_host() {
-            Ok(()) => Resolved {
-                selection: tune.selection(),
-                source: SelectionSource::File(path.to_string()),
-                error: None,
-                events: Vec::new(),
-            },
-            Err(err) => Resolved {
-                selection: Selection::detected_default(),
-                source: SelectionSource::Default,
-                error: None,
-                events: vec![format!("ignored {path}: {err}")],
-            },
-        },
-        Err(err) => Resolved {
-            selection: Selection::detected_default(),
-            source: SelectionSource::Default,
-            error: None,
-            events: vec![format!("{path}: {err}; will retune")],
-        },
-    }
-}
-
 fn resolved() -> &'static Resolved {
-    RESOLVED.get_or_init(resolve)
+    RESOLVED.get_or_init(|| resolve(std::env::var(CONFIG_ENV).ok().as_deref(), avx2_available()))
 }
 
-/// The process-wide selection (resolution order in the module docs).
-pub fn active_selection() -> Selection {
-    resolved().selection
-}
-
-/// Where [`active_selection`] came from, for artifact attribution.
+/// Where the process-wide path came from, for artifact attribution:
+/// `env:scalar`, `env:avx2` or `detected-default`.
 pub fn active_source() -> String {
-    resolved().source.to_string()
+    let r = resolved();
+    if r.forced {
+        format!("env:{}", r.path)
+    } else {
+        "detected-default".to_string()
+    }
 }
 
 /// The typed configuration error recorded during resolution, if any. The
 /// CLI checks this at startup and turns it into a usage message + exit
-/// instead of silently running on the fallback selection.
+/// instead of silently running on the fallback path.
 pub fn startup_error() -> Option<&'static KernelConfigError> {
     resolved().error.as_ref()
 }
 
-/// Non-fatal resolution events (quarantines, ignored mismatched files).
-pub fn startup_events() -> &'static [String] {
-    &resolved().events
-}
-
 thread_local! {
-    static OVERRIDE: Cell<Option<Selection>> = const { Cell::new(None) };
+    static OVERRIDE: Cell<Option<DispatchPath>> = const { Cell::new(None) };
 }
 
-struct OverrideGuard(Option<Selection>);
+struct OverrideGuard(Option<DispatchPath>);
 
 impl Drop for OverrideGuard {
     fn drop(&mut self) {
@@ -536,27 +337,23 @@ impl Drop for OverrideGuard {
     }
 }
 
-/// Runs `f` with `sel` as the current selection on this thread (restored on
-/// exit, including unwind). Used by tests and the autotuner to pin a
-/// configuration without touching the environment. The override is
-/// thread-local by design: kernel entry points capture [`current`] on the
-/// calling thread before fanning out to rayon workers.
-pub fn with_selection<R>(sel: Selection, f: impl FnOnce() -> R) -> R {
-    let _guard = OverrideGuard(OVERRIDE.with(|c| c.replace(Some(sel))));
+/// Runs `f` with `path` as the current dispatch path on this thread
+/// (restored on exit, including unwind). Used by tests and benches to pin
+/// a path without touching the environment. The override is thread-local
+/// by design: kernel entry points capture [`current_path`] on the calling
+/// thread before fanning out to rayon workers.
+pub fn with_path<R>(path: DispatchPath, f: impl FnOnce() -> R) -> R {
+    let _guard = OverrideGuard(OVERRIDE.with(|c| c.replace(Some(path))));
     f()
 }
 
-/// The selection kernel entry points should capture: the thread-local
-/// override if one is installed, else the process-wide resolution.
-#[inline]
-pub fn current() -> Selection {
-    OVERRIDE.with(|c| c.get()).unwrap_or_else(active_selection)
-}
-
-/// Shorthand for `current().path`.
+/// The path kernel entry points should capture: the thread-local override
+/// if one is installed, else the process-wide resolution.
 #[inline]
 pub fn current_path() -> DispatchPath {
-    current().path
+    OVERRIDE
+        .with(|c| c.get())
+        .unwrap_or_else(|| resolved().path)
 }
 
 /// Dispatched `lane_dot` for call sites *outside* parallel regions. Inside
@@ -586,22 +383,73 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_valid() {
-        assert!(TileConfig::SCALAR.is_valid());
-        assert!(TileConfig::AVX2.is_valid());
+    fn resolution_depends_only_on_the_env_value_and_host() {
+        use DispatchPath::{Avx2, Scalar};
+        for avx2 in [false, true] {
+            let detected = if avx2 { Avx2 } else { Scalar };
+            let fallback = |error| Resolved {
+                path: detected,
+                forced: false,
+                error: Some(error),
+            };
+            assert_eq!(
+                resolve(None, avx2),
+                Resolved {
+                    path: detected,
+                    forced: false,
+                    error: None
+                }
+            );
+            assert_eq!(
+                resolve(Some("scalar"), avx2),
+                Resolved {
+                    path: Scalar,
+                    forced: true,
+                    error: None
+                }
+            );
+            // A file path is not a value, nor is any other spelling of a
+            // path name.
+            for bad in ["tiles.json", "", "AVX2", "scalar "] {
+                assert_eq!(
+                    resolve(Some(bad), avx2),
+                    fallback(KernelConfigError::UnknownValue {
+                        value: bad.to_string()
+                    })
+                );
+            }
+        }
+        assert_eq!(
+            resolve(Some("avx2"), true),
+            Resolved {
+                path: Avx2,
+                forced: true,
+                error: None
+            }
+        );
+        assert_eq!(
+            resolve(Some("avx2"), false),
+            Resolved {
+                path: Scalar,
+                forced: false,
+                error: Some(KernelConfigError::FeatureUnavailable {
+                    requested: "avx2".to_string()
+                })
+            }
+        );
     }
 
     #[test]
-    fn with_selection_overrides_and_restores() {
-        let base = current();
-        with_selection(Selection::SCALAR, || {
-            assert_eq!(current().path, DispatchPath::Scalar);
-            with_selection(Selection::AVX2, || {
-                assert_eq!(current().path, DispatchPath::Avx2);
+    fn with_path_overrides_and_restores() {
+        let base = current_path();
+        with_path(DispatchPath::Scalar, || {
+            assert_eq!(current_path(), DispatchPath::Scalar);
+            with_path(DispatchPath::Avx2, || {
+                assert_eq!(current_path(), DispatchPath::Avx2);
             });
-            assert_eq!(current().path, DispatchPath::Scalar);
+            assert_eq!(current_path(), DispatchPath::Scalar);
         });
-        assert_eq!(current(), base);
+        assert_eq!(current_path(), base);
     }
 
     #[test]

@@ -26,8 +26,7 @@
 //! but fails to decode to `<name>.corrupt` ([`quarantine`]) so the path is
 //! reusable and the evidence survives. [`write_torn`] is the matching
 //! deterministic fault hook: it leaves exactly the torn prefix a mid-write
-//! crash would. The JSON kernel-tune file (`crate::tune`) uses the same
-//! write and load policy without the binary frame.
+//! crash would.
 
 use crate::matrix::Matrix;
 use std::fmt;

@@ -11,7 +11,7 @@
 //! * Hot kernels ([`Matrix::matmul`]) parallelise over output rows with
 //!   rayon and route through [`dispatch`]: runtime-detected AVX2+FMA
 //!   micro-kernels ([`simd`]) with the scalar blocked path as fallback,
-//!   tile/grain shapes picked by a persisted autotuner ([`tune`]).
+//!   each with fixed tile/grain shapes per output shape class.
 //!   Everything else is simple scalar code that LLVM vectorises.
 //! * `unsafe` is confined to [`simd`]: `std::arch` intrinsics behind
 //!   runtime feature detection, pinned bitwise to safe scalar contract
@@ -30,9 +30,8 @@ pub mod pca;
 pub mod rng;
 pub mod simd;
 pub mod stats;
-pub mod tune;
 
-pub use dispatch::{DispatchPath, Selection};
+pub use dispatch::DispatchPath;
 pub use error::TrainError;
 pub use matrix::Matrix;
 pub use rng::{RngState, SeedRng};

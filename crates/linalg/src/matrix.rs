@@ -1,5 +1,6 @@
 //! Row-major dense `f32` matrix.
 
+use crate::dispatch::{DispatchPath, ShapeClass, TileConfig};
 use crate::ops;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -17,10 +18,11 @@ use std::fmt;
 /// `matmul_transpose`/`syrk` are dot-style (both operands row-major over
 /// k): they tile `MR_DOT x NR_DOT` output elements, each carrying `LANES`
 /// independent partial sums combined in the fixed [`ops::lane_dot`] order.
-const MR: usize = 4;
-const NR: usize = 8;
-const MR_DOT: usize = 2;
-const NR_DOT: usize = 4;
+/// The shapes are [`TileConfig::SCALAR`]'s, one tile row per work item.
+const MR: usize = TileConfig::SCALAR.mm_mr;
+const NR: usize = 8 * TileConfig::SCALAR.mm_nv;
+const MR_DOT: usize = TileConfig::SCALAR.dot_mr;
+const NR_DOT: usize = TileConfig::SCALAR.dot_nr;
 const LANES: usize = 4;
 
 /// Side of the square tiles the transpose family (`transpose`, the `syrk`
@@ -570,17 +572,18 @@ impl Matrix {
         let b = &other.data;
         #[cfg(target_arch = "x86_64")]
         {
-            // Selection captured once here, on the calling thread: rayon
+            // Path captured once here, on the calling thread: rayon
             // workers are fresh OS threads with no thread-local override.
-            let sel = crate::dispatch::current();
-            if sel.path == crate::dispatch::DispatchPath::Avx2 {
-                let t = sel.tiles_for(self.rows, oc);
-                let cr = t.mm_mr as usize * t.grain as usize;
+            let path = crate::dispatch::current_path();
+            if path == DispatchPath::Avx2 {
+                let class = ShapeClass::of_output(self.rows, oc);
+                let t = path.tiles(class);
+                let cr = t.mm_mr * t.grain;
                 out.data
                     .par_chunks_mut(cr * oc)
                     .zip(self.data.par_chunks(cr * k))
                     .for_each(|(out_chunk, a_chunk)| {
-                        crate::simd::call::mm_rows(a_chunk, b, out_chunk, k, oc, t.mm_mr, t.mm_nv);
+                        crate::simd::call::mm_rows(a_chunk, b, out_chunk, k, oc, class);
                     });
                 return;
             }
@@ -632,10 +635,11 @@ impl Matrix {
         let b = &other.data;
         #[cfg(target_arch = "x86_64")]
         {
-            let sel = crate::dispatch::current();
-            if sel.path == crate::dispatch::DispatchPath::Avx2 {
-                let t = sel.tiles_for(sc, oc);
-                let cr = t.mm_mr as usize * t.grain as usize;
+            let path = crate::dispatch::current_path();
+            if path == DispatchPath::Avx2 {
+                let class = ShapeClass::of_output(sc, oc);
+                let t = path.tiles(class);
+                let cr = t.mm_mr * t.grain;
                 out.data
                     .par_chunks_mut(cr * oc)
                     .enumerate()
@@ -648,8 +652,7 @@ impl Matrix {
                             sc,
                             oc,
                             nrows,
-                            t.mm_mr,
-                            t.mm_nv,
+                            class,
                         );
                     });
                 return;
@@ -702,17 +705,16 @@ impl Matrix {
         let b = &other.data;
         #[cfg(target_arch = "x86_64")]
         {
-            let sel = crate::dispatch::current();
-            if sel.path == crate::dispatch::DispatchPath::Avx2 {
-                let t = sel.tiles_for(self.rows, on);
-                let cr = t.dot_mr as usize * t.grain as usize;
+            let path = crate::dispatch::current_path();
+            if path == DispatchPath::Avx2 {
+                let class = ShapeClass::of_output(self.rows, on);
+                let t = path.tiles(class);
+                let cr = t.dot_mr * t.grain;
                 out.data
                     .par_chunks_mut(cr * on)
                     .zip(self.data.par_chunks(cr * k))
                     .for_each(|(out_chunk, a_chunk)| {
-                        crate::simd::call::mt_rows(
-                            a_chunk, b, out_chunk, k, on, t.dot_mr, t.dot_nr,
-                        );
+                        crate::simd::call::mt_rows(a_chunk, b, out_chunk, k, on, class);
                     });
                 return;
             }
@@ -763,23 +765,15 @@ impl Matrix {
         let mut done = false;
         #[cfg(target_arch = "x86_64")]
         {
-            let sel = crate::dispatch::current();
-            if sel.path == crate::dispatch::DispatchPath::Avx2 {
-                let t = sel.tiles_for(n, n);
-                let cr = t.dot_mr as usize * t.grain as usize;
+            let path = crate::dispatch::current_path();
+            if path == DispatchPath::Avx2 {
+                let t = path.tiles(ShapeClass::Square);
+                let cr = t.dot_mr * t.grain;
                 out.data
                     .par_chunks_mut(cr * n)
                     .enumerate()
                     .for_each(|(tile, out_chunk)| {
-                        crate::simd::call::syrk_rows(
-                            a,
-                            out_chunk,
-                            tile * cr,
-                            k,
-                            n,
-                            t.dot_mr,
-                            t.dot_nr,
-                        );
+                        crate::simd::call::syrk_rows(a, out_chunk, tile * cr, k, n);
                     });
                 done = true;
             }

@@ -5,8 +5,8 @@
 //! `lane_dot4`, the GEMM micro-panels behind [`crate::Matrix::matmul`] /
 //! [`crate::Matrix::matmul_transpose`] / [`crate::Matrix::transpose_matmul`]
 //! / [`crate::Matrix::syrk`], and the SpMM dense-column panel — selected at
-//! runtime by [`crate::dispatch`] (feature detection + tile configuration),
-//! with the PR 4 scalar blocked kernels as the fallback path.
+//! runtime by [`crate::dispatch`] (feature detection + fixed tile shapes),
+//! with the scalar blocked kernels as the fallback path.
 //!
 //! # The AVX2 element-level reduction contract
 //!
@@ -30,19 +30,20 @@
 //!
 //! Tile geometry (how many rows/columns a micro-panel covers) and the rayon
 //! parallel grain never enter either contract: elements are independent
-//! accumulation chains, so **every tile configuration of a dispatch path
-//! produces identical bits** — the autotuner can pick shapes freely without
-//! invalidating that path's golden fingerprints. Bitwise equality of the
-//! intrinsics against these models is property-tested at odd lengths,
-//! `k < 8`, and empty inputs in `crates/linalg/tests/simd_contract.rs`.
+//! accumulation chains, so **every tile shape of a dispatch path produces
+//! identical bits** — the per-shape-class constants of
+//! [`crate::dispatch::TileConfig`] could change without invalidating that
+//! path's golden fingerprints. Bitwise equality of the intrinsics against
+//! these models is property-tested at odd lengths, `k < 8`, empty inputs,
+//! every instantiated geometry and split row chunks in
+//! `crates/linalg/tests/simd_contract.rs`.
 
 /// Input rows per reduction block of the AVX2 `transpose_matmul` panels.
 /// A block's `b` rows (`TM_ROW_BLOCK x oc`) and the chunk's `a` columns
 /// stay in L2 while every (row tile, column panel) pair of a chunk consumes
 /// them; streaming all input rows per pair instead re-reads a `b` larger
-/// than L2 from L3 once per pair. A fixed constant, not a tile knob:
-/// blocking the reduction never changes an element's fused chain, so no
-/// tune file names it.
+/// than L2 from L3 once per pair. Blocking the reduction never changes an
+/// element's fused chain.
 pub const TM_ROW_BLOCK: usize = 128;
 
 /// Safe scalar models of the AVX2 reduction contract. These are the
@@ -101,7 +102,11 @@ pub(crate) mod avx2 {
     #![allow(clippy::missing_safety_doc)] // safety contract documented above
     #![allow(clippy::needless_range_loop)] // index loops mirror register tiles
 
+    use crate::dispatch::{ShapeClass, TileConfig};
     use std::arch::x86_64::*;
+
+    const TALL: TileConfig = TileConfig::AVX2_TALL;
+    const SQUARE: TileConfig = TileConfig::AVX2_SQUARE;
 
     /// Folds the eight lanes of `v` in the documented contract order:
     /// `t_l = s_l + s_{l+4}`, then `(t_0 + t_2) + (t_1 + t_3)`.
@@ -266,10 +271,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Geometry-dispatching entry for `matmul_transpose` row chunks. The
-    /// `(dot_mr, dot_nr)` pair must be one of the grid in
-    /// [`crate::dispatch::TileConfig::DOT_GEOMETRIES`]; anything else falls
-    /// back to the 2x4 default (same bits either way).
+    /// `matmul_transpose` row chunks through the dot tiles of `class`.
     ///
     /// # Safety
     /// Host must support AVX2+FMA; `a.len() >= rows*k`, `b.len() >= on*k`,
@@ -280,13 +282,15 @@ pub(crate) mod avx2 {
         out: &mut [f32],
         k: usize,
         on: usize,
-        dot_mr: u8,
-        dot_nr: u8,
+        class: ShapeClass,
     ) {
-        match (dot_mr, dot_nr) {
-            (1, 4) => mt_rows_g::<1, 4>(a, b, out, k, on),
-            (4, 2) => mt_rows_g::<4, 2>(a, b, out, k, on),
-            _ => mt_rows_g::<2, 4>(a, b, out, k, on),
+        match class {
+            ShapeClass::TallSkinny => {
+                mt_rows_g::<{ TALL.dot_mr }, { TALL.dot_nr }>(a, b, out, k, on)
+            }
+            ShapeClass::Square => {
+                mt_rows_g::<{ SQUARE.dot_mr }, { SQUARE.dot_nr }>(a, b, out, k, on)
+            }
         }
     }
 
@@ -350,25 +354,14 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Geometry-dispatching entry for `syrk` row chunks.
+    /// `syrk` row chunks through the square dot tiles (a Gram matrix is
+    /// always square).
     ///
     /// # Safety
     /// Host must support AVX2+FMA; `a` is `n x k` row-major, `out.len()` a
     /// multiple of `n`, `i0 + out.len()/n <= n`.
-    pub unsafe fn syrk_rows(
-        a: &[f32],
-        out: &mut [f32],
-        i0: usize,
-        k: usize,
-        n: usize,
-        dot_mr: u8,
-        dot_nr: u8,
-    ) {
-        match (dot_mr, dot_nr) {
-            (1, 4) => syrk_rows_g::<1, 4>(a, out, i0, k, n),
-            (4, 2) => syrk_rows_g::<4, 2>(a, out, i0, k, n),
-            _ => syrk_rows_g::<2, 4>(a, out, i0, k, n),
-        }
+    pub unsafe fn syrk_rows(a: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
+        syrk_rows_g::<{ SQUARE.dot_mr }, { SQUARE.dot_nr }>(a, out, i0, k, n)
     }
 
     /// Scalar fused-chain element: the tail path of the axpy kernels.
@@ -439,8 +432,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Geometry-dispatching entry for `matmul` row chunks. `(mm_mr, mm_nv)`
-    /// from [`crate::dispatch::TileConfig::MM_GEOMETRIES`].
+    /// `matmul` row chunks through the axpy panels of `class`.
     ///
     /// # Safety
     /// Host must support AVX2+FMA; `a.len() >= rows*k`, `b.len() >= k*oc`,
@@ -451,13 +443,11 @@ pub(crate) mod avx2 {
         out: &mut [f32],
         k: usize,
         oc: usize,
-        mm_mr: u8,
-        mm_nv: u8,
+        class: ShapeClass,
     ) {
-        match (mm_mr, mm_nv) {
-            (2, 4) => mm_rows_g::<2, 4>(a, b, out, k, oc),
-            (4, 1) => mm_rows_g::<4, 1>(a, b, out, k, oc),
-            _ => mm_rows_g::<4, 2>(a, b, out, k, oc),
+        match class {
+            ShapeClass::TallSkinny => mm_rows_g::<{ TALL.mm_mr }, { TALL.mm_nv }>(a, b, out, k, oc),
+            ShapeClass::Square => mm_rows_g::<{ SQUARE.mm_mr }, { SQUARE.mm_nv }>(a, b, out, k, oc),
         }
     }
 
@@ -546,8 +536,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Geometry-dispatching entry for `transpose_matmul` row chunks (shares
-    /// the `(mm_mr, mm_nv)` axpy geometry).
+    /// `transpose_matmul` row chunks through the axpy panels of `class`.
     ///
     /// # Safety
     /// Host must support AVX2+FMA; `a` is `nrows x sc`, `b` is `nrows x oc`,
@@ -561,13 +550,15 @@ pub(crate) mod avx2 {
         sc: usize,
         oc: usize,
         nrows: usize,
-        mm_mr: u8,
-        mm_nv: u8,
+        class: ShapeClass,
     ) {
-        match (mm_mr, mm_nv) {
-            (2, 4) => tm_rows_g::<2, 4>(a, b, out, c0, sc, oc, nrows),
-            (4, 1) => tm_rows_g::<4, 1>(a, b, out, c0, sc, oc, nrows),
-            _ => tm_rows_g::<4, 2>(a, b, out, c0, sc, oc, nrows),
+        match class {
+            ShapeClass::TallSkinny => {
+                tm_rows_g::<{ TALL.mm_mr }, { TALL.mm_nv }>(a, b, out, c0, sc, oc, nrows)
+            }
+            ShapeClass::Square => {
+                tm_rows_g::<{ SQUARE.mm_mr }, { SQUARE.mm_nv }>(a, b, out, c0, sc, oc, nrows)
+            }
         }
     }
 
@@ -609,7 +600,7 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Geometry-dispatching entry for one SpMM output row (`mm_nv` panels).
+    /// One SpMM output row through 2-vector (16-column) panels.
     ///
     /// # Safety
     /// Host must support AVX2+FMA; every `cols` entry `c` must satisfy
@@ -627,6 +618,7 @@ pub(crate) mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub mod call {
     use super::avx2;
+    use crate::dispatch::ShapeClass;
 
     #[inline]
     fn require_avx2() {
@@ -654,11 +646,11 @@ pub mod call {
 
     /// See `avx2::mm_rows`.
     #[inline]
-    pub fn mm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, oc: usize, mr: u8, nv: u8) {
+    pub fn mm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, oc: usize, class: ShapeClass) {
         require_avx2();
         // SAFETY: AVX2+FMA support asserted above; slice bounds are the
         // callers' documented invariants.
-        unsafe { avx2::mm_rows(a, b, out, k, oc, mr, nv) }
+        unsafe { avx2::mm_rows(a, b, out, k, oc, class) }
     }
 
     /// See `avx2::tm_rows`.
@@ -672,28 +664,27 @@ pub mod call {
         sc: usize,
         oc: usize,
         nrows: usize,
-        mr: u8,
-        nv: u8,
+        class: ShapeClass,
     ) {
         require_avx2();
         // SAFETY: as in `mm_rows`.
-        unsafe { avx2::tm_rows(a, b, out, c0, sc, oc, nrows, mr, nv) }
+        unsafe { avx2::tm_rows(a, b, out, c0, sc, oc, nrows, class) }
     }
 
     /// See `avx2::mt_rows`.
     #[inline]
-    pub fn mt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, on: usize, mr: u8, nr: u8) {
+    pub fn mt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, on: usize, class: ShapeClass) {
         require_avx2();
         // SAFETY: as in `mm_rows`.
-        unsafe { avx2::mt_rows(a, b, out, k, on, mr, nr) }
+        unsafe { avx2::mt_rows(a, b, out, k, on, class) }
     }
 
     /// See `avx2::syrk_rows`.
     #[inline]
-    pub fn syrk_rows(a: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize, mr: u8, nr: u8) {
+    pub fn syrk_rows(a: &[f32], out: &mut [f32], i0: usize, k: usize, n: usize) {
         require_avx2();
         // SAFETY: as in `mm_rows`.
-        unsafe { avx2::syrk_rows(a, out, i0, k, n, mr, nr) }
+        unsafe { avx2::syrk_rows(a, out, i0, k, n) }
     }
 
     /// See `avx2::spmm_row`.

@@ -1,6 +1,6 @@
 //! Property-based tests for the dense linear-algebra substrate.
 
-use e2gcl_linalg::{activations, dispatch, ops, stats, Matrix, SeedRng, Selection};
+use e2gcl_linalg::{activations, dispatch, ops, stats, DispatchPath, Matrix, SeedRng};
 use proptest::prelude::*;
 
 /// Strategy: a small matrix with bounded entries.
@@ -171,7 +171,7 @@ proptest! {
                                            n in awkward_dim(), salt in any::<u64>()) {
         let a = dense(m, k, salt);
         let b = dense(k, n, salt ^ 1);
-        let got = dispatch::with_selection(Selection::SCALAR, || a.matmul(&b));
+        let got = dispatch::with_path(DispatchPath::Scalar, || a.matmul(&b));
         let expect = ref_matmul(&a, &b);
         for (x, y) in got.as_slice().iter().zip(expect.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "{}x{} * {}x{}", m, k, k, n);
@@ -184,7 +184,7 @@ proptest! {
                                                      n in awkward_dim(), salt in any::<u64>()) {
         let a = dense(r, c, salt);
         let b = dense(r, n, salt ^ 2);
-        let got = dispatch::with_selection(Selection::SCALAR, || a.transpose_matmul(&b));
+        let got = dispatch::with_path(DispatchPath::Scalar, || a.transpose_matmul(&b));
         let expect = ref_transpose_matmul(&a, &b);
         for (x, y) in got.as_slice().iter().zip(expect.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "{}x{} ^T * {}x{}", r, c, r, n);
@@ -199,7 +199,7 @@ proptest! {
                                                  k in awkward_dim(), salt in any::<u64>()) {
         let a = dense(m, k, salt);
         let b = dense(n, k, salt ^ 3);
-        let got = dispatch::with_selection(Selection::SCALAR, || a.matmul_transpose(&b));
+        let got = dispatch::with_path(DispatchPath::Scalar, || a.matmul_transpose(&b));
         for i in 0..m {
             for j in 0..n {
                 let lane = ops::lane_dot(a.row(i), b.row(j));
@@ -297,11 +297,11 @@ fn symmetrize_additive_matches_naive_loop() {
 /// reproduce the full `matmul_transpose` bitwise on either dispatch path.
 #[test]
 fn syrk_mirror_matches_matmul_transpose() {
-    for sel in [Selection::SCALAR, dispatch::current()] {
+    for path in [DispatchPath::Scalar, dispatch::current_path()] {
         for n in TRANSPOSE_SIZES {
             let a = dense(n, 3, n as u64 ^ 0x99);
             let mut reused = Matrix::filled(n, n, f32::NAN);
-            let (gram, full) = dispatch::with_selection(sel, || {
+            let (gram, full) = dispatch::with_path(path, || {
                 a.syrk_into(&mut reused);
                 (a.syrk(), a.matmul_transpose(&a))
             });
@@ -312,8 +312,8 @@ fn syrk_mirror_matches_matmul_transpose() {
                 .zip(full.as_slice())
                 .zip(reused.as_slice())
             {
-                assert_eq!(x.to_bits(), y.to_bits(), "n {n} path {:?}", sel.path);
-                assert_eq!(z.to_bits(), y.to_bits(), "n {n} path {:?}", sel.path);
+                assert_eq!(x.to_bits(), y.to_bits(), "n {n} path {path}");
+                assert_eq!(z.to_bits(), y.to_bits(), "n {n} path {path}");
             }
         }
     }

@@ -5,9 +5,8 @@
 //! *not* bit-identical across dispatch paths (each path has its own
 //! reduction contract), but the serving behaviour that callers observe
 //! must be: this test builds the same IVF index and runs the same queries
-//! under a forced-scalar selection (`E2GCL_KERNEL_CONFIG=scalar`
-//! equivalent, via `dispatch::with_selection`) and under the AVX2
-//! selection, and asserts
+//! under a forced scalar path (`E2GCL_KERNEL_CONFIG=scalar` equivalent,
+//! via `dispatch::with_path`) and under the AVX2 path, and asserts
 //!
 //! 1. recall@10 against brute force is identical,
 //! 2. every query returns the same hit ids in the same order, and
@@ -17,7 +16,7 @@
 //! Skipped (vacuously green) on hosts without AVX2+FMA, where only one
 //! path exists.
 
-use e2gcl_linalg::{dispatch, Matrix, SeedRng, Selection};
+use e2gcl_linalg::{dispatch, DispatchPath, Matrix, SeedRng};
 use e2gcl_serve::{EmbeddingStore, IvfConfig, IvfIndex};
 
 /// How many leading rows get two extra exact duplicates planted.
@@ -58,9 +57,9 @@ struct PathRun {
 }
 
 /// Builds the index and runs every probe query under the *current*
-/// dispatch selection. Everything stays on the calling thread up to the
-/// kernels' own fan-out, so `with_selection` governs the whole run.
-fn run_under_current_selection() -> PathRun {
+/// dispatch path. Everything stays on the calling thread up to the
+/// kernels' own fan-out, so `with_path` governs the whole run.
+fn run_under_current_path() -> PathRun {
     let store = clustered_store_with_ties(11);
     let index = IvfIndex::build(
         &store,
@@ -99,8 +98,8 @@ fn ivf_behaviour_invariant_across_dispatch_paths() {
         eprintln!("skipping: host lacks AVX2+FMA, only the scalar path exists");
         return;
     }
-    let scalar = dispatch::with_selection(Selection::SCALAR, run_under_current_selection);
-    let avx2 = dispatch::with_selection(Selection::AVX2, run_under_current_selection);
+    let scalar = dispatch::with_path(DispatchPath::Scalar, run_under_current_path);
+    let avx2 = dispatch::with_path(DispatchPath::Avx2, run_under_current_path);
 
     assert_eq!(
         scalar.recall.to_bits(),
