@@ -1,6 +1,8 @@
 //! Row-major dense `f32` matrix.
 
-use crate::dispatch::{DispatchPath, ShapeClass, TileConfig};
+use crate::dispatch::TileConfig;
+#[cfg(target_arch = "x86_64")]
+use crate::dispatch::{DispatchPath, ShapeClass};
 use crate::ops;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
