@@ -35,6 +35,56 @@ const LANES: usize = 4;
 /// operand, well within any x86 L1's associativity.
 const TT: usize = 8;
 
+/// Multiply-adds each rayon worker of a GEMM gets at the least. A scoped
+/// spawn costs tens of microseconds, and a GEMM that fans out inside an
+/// already serial loop (the server's ego forwards) also pays the
+/// cache misses of a second core; 8M multiply-adds is a few milliseconds
+/// of AVX2 work, so the split pays while every training-size product
+/// (1024²×64 ≈ 67M, 5,900×100×128 ≈ 75M) still splits.
+const MIN_MACS_PER_WORKER: usize = 8_000_000;
+
+/// The stand-in's default minimum of items per worker: no GEMM asks for
+/// more, so nothing that fans out at the default stops.
+const MAX_MIN_ITEMS: usize = 64;
+
+/// `with_min_len` for a GEMM whose work items each carry `macs`
+/// multiply-adds: enough items that a worker gets [`MIN_MACS_PER_WORKER`],
+/// clamped to `1..=MAX_MIN_ITEMS`. It picks only which thread runs an
+/// item, so it never changes a bit.
+fn min_items(macs: usize) -> usize {
+    MIN_MACS_PER_WORKER
+        .div_ceil(macs.max(1))
+        .clamp(1, MAX_MIN_ITEMS)
+}
+
+/// Runs `f(t, band)` on every band of `rows` rows of the `n × n` Gram
+/// output `out` of a `k`-column operand, pairing upper-triangle band `t`
+/// with band `T - 1 - t` in one work item (a lone middle band when `T` is
+/// odd). Band `t` of the upper triangle holds work proportional to
+/// `n - t·rows`, so every pair holds about `rows × n × k` multiply-adds,
+/// where plain bands would leave about three quarters of the work in the
+/// first half.
+fn for_each_band_pair(
+    out: &mut [f32],
+    rows: usize,
+    n: usize,
+    k: usize,
+    f: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let mut front: Vec<(usize, &mut [f32])> = out.chunks_mut(rows * n).enumerate().collect();
+    let mut back = front.split_off(front.len().div_ceil(2));
+    let pairs: Vec<_> = front.into_iter().map(|b| (b, back.pop())).collect();
+    pairs
+        .into_par_iter()
+        .with_min_len(min_items(rows * n * k))
+        .for_each(|((t, band), partner)| {
+            f(t, band);
+            if let Some((t2, band2)) = partner {
+                f(t2, band2);
+            }
+        });
+}
+
 /// The one tiled walk of the transpose family: calls `f(i, j)` for every
 /// `i < rows` and `j < cols` (only `j >= i` when `upper`), one `TT x TT`
 /// tile at a time, `j` innermost. Callers touch each element
@@ -584,6 +634,7 @@ impl Matrix {
                 out.data
                     .par_chunks_mut(cr * oc)
                     .zip(self.data.par_chunks(cr * k))
+                    .with_min_len(min_items(cr * oc * k))
                     .for_each(|(out_chunk, a_chunk)| {
                         crate::simd::call::mm_rows(a_chunk, b, out_chunk, k, oc, class);
                     });
@@ -593,6 +644,7 @@ impl Matrix {
         out.data
             .par_chunks_mut(MR * oc)
             .zip(self.data.par_chunks(MR * k))
+            .with_min_len(min_items(MR * oc * k))
             .for_each(|(out_chunk, a_chunk)| {
                 mm_block(a_chunk, b, out_chunk, k, oc);
             });
@@ -645,6 +697,7 @@ impl Matrix {
                 out.data
                     .par_chunks_mut(cr * oc)
                     .enumerate()
+                    .with_min_len(min_items(cr * oc * nrows))
                     .for_each(|(tile, out_chunk)| {
                         crate::simd::call::tm_rows(
                             a,
@@ -663,6 +716,7 @@ impl Matrix {
         out.data
             .par_chunks_mut(MR * oc)
             .enumerate()
+            .with_min_len(min_items(MR * oc * nrows))
             .for_each(|(tile, out_chunk)| {
                 tm_block(a, b, out_chunk, tile * MR, sc, oc, nrows);
             });
@@ -715,6 +769,7 @@ impl Matrix {
                 out.data
                     .par_chunks_mut(cr * on)
                     .zip(self.data.par_chunks(cr * k))
+                    .with_min_len(min_items(cr * on * k))
                     .for_each(|(out_chunk, a_chunk)| {
                         crate::simd::call::mt_rows(a_chunk, b, out_chunk, k, on, class);
                     });
@@ -724,6 +779,7 @@ impl Matrix {
         out.data
             .par_chunks_mut(MR_DOT * on)
             .zip(self.data.par_chunks(MR_DOT * k))
+            .with_min_len(min_items(MR_DOT * on * k))
             .for_each(|(out_chunk, a_chunk)| {
                 mt_block(a_chunk, b, out_chunk, k, on);
             });
@@ -762,7 +818,7 @@ impl Matrix {
             return;
         }
         let a = &self.data;
-        // Upper triangle (j >= i), parallel over row tiles.
+        // Upper triangle (j >= i), parallel over pairs of row bands.
         #[allow(unused_mut)] // only assigned on x86_64
         let mut done = false;
         #[cfg(target_arch = "x86_64")]
@@ -771,22 +827,16 @@ impl Matrix {
             if path == DispatchPath::Avx2 {
                 let t = path.tiles(ShapeClass::Square);
                 let cr = t.dot_mr * t.grain;
-                out.data
-                    .par_chunks_mut(cr * n)
-                    .enumerate()
-                    .for_each(|(tile, out_chunk)| {
-                        crate::simd::call::syrk_rows(a, out_chunk, tile * cr, k, n);
-                    });
+                for_each_band_pair(&mut out.data, cr, n, k, |tile, out_chunk| {
+                    crate::simd::call::syrk_rows(a, out_chunk, tile * cr, k, n);
+                });
                 done = true;
             }
         }
         if !done {
-            out.data
-                .par_chunks_mut(MR_DOT * n)
-                .enumerate()
-                .for_each(|(tile, out_chunk)| {
-                    syrk_block(a, out_chunk, tile * MR_DOT, k, n);
-                });
+            for_each_band_pair(&mut out.data, MR_DOT, n, k, |tile, out_chunk| {
+                syrk_block(a, out_chunk, tile * MR_DOT, k, n);
+            });
         }
         // Mirror into the strict lower triangle, tile by tile. Serial: it
         // reads rows that other row bands would write.

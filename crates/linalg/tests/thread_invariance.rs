@@ -31,19 +31,27 @@ fn fingerprint(ms: &[&Matrix]) -> u64 {
     h.finish()
 }
 
-/// Runs every blocked kernel at sizes large enough that the stand-in pool
-/// actually fans out (it needs >= 128 parallel items; row-tiles are 4 rows
-/// for the axpy kernels, 2 for the dot kernels).
+/// Runs every blocked kernel at sizes where the stand-in pool fans out on
+/// both dispatch paths. A kernel splits when its work items number at least
+/// twice its `with_min_len` minimum, which is `ceil(8M / multiply-adds per
+/// item)` clamped to `1..=64`. Items are `mm_mr × grain` output rows for
+/// `matmul`/`transpose_matmul`, `dot_mr × grain` rows for
+/// `matmul_transpose`, and pairs of those row bands for `syrk`; AVX2 rows
+/// per item are 64 (square, mm), 32 (tall, mm) and 32 (square, dot), and
+/// scalar rows 4 (mm) and 2 (dot). Items / minimum per kernel:
+/// - `matmul` 1024×131·131×129 (square): AVX2 16 / 8, scalar 256 / 64;
+/// - `transpose_matmul` (700×600)ᵀ·700×41 (tall): AVX2 19 / 9, scalar
+///   150 / 64;
+/// - `matmul_transpose` 1024×67·(261×67)ᵀ (square): AVX2 32 / 15, scalar
+///   512 / 64;
+/// - `syrk` 901×47: 29 AVX2 bands (15 pairs) / 6, 451 scalar bands (226
+///   pairs) / 64. Both band counts are odd, so each path has a lone
+///   middle band, and 901 rows leave the scalar path its one-row band.
 fn compute_fingerprint() -> u64 {
-    let a = dense(1024, 33, 7);
-    let b = dense(33, 29, 8);
-    let mm = a.matmul(&b); // 256 row-tiles
-    let wide = dense(300, 600, 9);
-    let rhs = dense(300, 31, 10);
-    let tm = wide.transpose_matmul(&rhs); // 150 row-tiles of the 600x31 output
-    let bt = dense(517, 33, 11);
-    let mt = a.matmul_transpose(&bt); // 512 row-tiles
-    let sy = dense(700, 17, 12).syrk(); // 350 row-tiles
+    let mm = dense(1024, 131, 7).matmul(&dense(131, 129, 8));
+    let tm = dense(700, 600, 9).transpose_matmul(&dense(700, 41, 10));
+    let mt = dense(1024, 67, 13).matmul_transpose(&dense(261, 67, 11));
+    let sy = dense(901, 47, 12).syrk();
     fingerprint(&[&mm, &tm, &mt, &sy])
 }
 

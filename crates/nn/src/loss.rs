@@ -210,15 +210,28 @@ impl InfoNceScratch {
 /// contrast against all of view `b` (`s_ab`) plus intra-view (`s_aa`,
 /// excluding self).
 ///
-/// Consumes the `1/tau`-scaled similarity blocks in place, replacing them
-/// with gradient coefficients: `s_ab[i][j] <- scale·inv_tau·(p_ab − δ_ij)`
-/// and `s_aa[i][j] <- scale·inv_tau·p_aa` (diagonal zero), where `p` are
-/// the softmax probabilities over anchor `i`'s `2n−1` terms. The embedding
-/// gradients then reduce to plain GEMMs over these blocks (see
-/// [`info_nce_with`]), so every cross-row reduction runs inside the
-/// deterministic blocked kernels instead of serial `axpy` scatter.
-/// `row_loss[i]` receives anchor `i`'s scaled loss term; rows are
-/// independent, so the parallel pass is trivially deterministic.
+/// Consumes the raw similarity blocks in place, replacing them with
+/// gradient coefficients: `s_ab[i][j] <- scale·inv_tau·(p_ab − δ_ij)` and
+/// `s_aa[i][j] <- scale·inv_tau·p_aa` (diagonal zero), where `p` are the
+/// softmax probabilities over anchor `i`'s `2n−1` terms of the
+/// `inv_tau`-scaled similarities. The embedding gradients then reduce to
+/// plain GEMMs over these blocks (see [`info_nce_with`]), so every
+/// cross-row reduction runs inside the deterministic blocked kernels
+/// instead of serial `axpy` scatter. `row_loss[i]` receives anchor `i`'s
+/// scaled loss term; rows are independent, so the parallel pass is
+/// trivially deterministic.
+///
+/// Each row is branch-free, with the bits of a pass that skips the self
+/// term and subtracts `δ_ij·g_unit` from every `s_ab` coefficient:
+/// - the `s_aa` diagonal is `−∞` before the max, so it never wins it,
+///   `exp(−∞ − mx) = +0` and `denom + 0 = denom`;
+/// - the max runs in [`ROW_MAX_LANES`] lanes: `f32::max` ignores NaN, and
+///   the order in which it meets the values changes at most the sign of a
+///   zero max, which no later expression can see (`v − (±0) = v` up to a
+///   zero's sign, `exp(±0) = 1`, and `±0 + ln(denom)` is `+0` when
+///   `ln(denom)` is);
+/// - every coefficient is `p·gd`, then `g_unit` comes off at `[i]` alone,
+///   since `x − 0.0 = x` for every other term.
 fn nt_xent_rows(
     s_ab: &mut Matrix,
     s_aa: &mut Matrix,
@@ -237,40 +250,44 @@ fn nt_xent_rows(
         .zip(row_loss.par_iter_mut())
         .enumerate()
         .for_each(|(i, ((ab_row, aa_row), l))| {
+            ab_row.iter_mut().for_each(|v| *v *= inv_tau);
+            aa_row.iter_mut().for_each(|v| *v *= inv_tau);
+            aa_row[i] = f32::NEG_INFINITY;
             let pos = ab_row[i];
             // Log-sum-exp over 2n−1 terms, stabilised by the row max.
-            let mut mx = f32::NEG_INFINITY;
-            for &v in ab_row.iter() {
-                mx = mx.max(v);
-            }
-            for (j, &v) in aa_row.iter().enumerate() {
-                if j != i {
-                    mx = mx.max(v);
-                }
-            }
+            let mx = row_max(ab_row).max(row_max(aa_row));
             let mut denom = 0.0f32;
-            for v in ab_row.iter_mut() {
+            for v in ab_row.iter_mut().chain(aa_row.iter_mut()) {
                 *v = (*v - mx).exp();
                 denom += *v;
-            }
-            for (j, v) in aa_row.iter_mut().enumerate() {
-                if j == i {
-                    *v = 0.0;
-                } else {
-                    *v = (*v - mx).exp();
-                    denom += *v;
-                }
             }
             *l = (mx + denom.ln() - pos) * scale;
             // exp -> gradient coefficient.
             let gd = g_unit / denom;
-            for (j, v) in ab_row.iter_mut().enumerate() {
-                *v = *v * gd - if j == i { g_unit } else { 0.0 };
-            }
-            for v in aa_row.iter_mut() {
-                *v *= gd;
-            }
+            ab_row.iter_mut().for_each(|v| *v *= gd);
+            aa_row.iter_mut().for_each(|v| *v *= gd);
+            ab_row[i] -= g_unit;
         });
+}
+
+/// Lanes of [`row_max`]: one AVX register of `f32`.
+const ROW_MAX_LANES: usize = 8;
+
+/// Largest non-NaN value of `row` (`−∞` if none), in [`ROW_MAX_LANES`]
+/// independent lanes so the loop vectorises.
+fn row_max(row: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; ROW_MAX_LANES];
+    let chunks = row.chunks_exact(ROW_MAX_LANES);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (m, &v) in lanes.iter_mut().zip(c) {
+            *m = m.max(v);
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(tail) {
+        *m = m.max(v);
+    }
+    lanes.into_iter().fold(f32::NEG_INFINITY, f32::max)
 }
 
 /// [`info_nce`] into reusable buffers: bit-identical loss and gradients
@@ -297,10 +314,9 @@ pub fn info_nce_with(z1: &Matrix, z2: &Matrix, tau: f32, s: &mut InfoNceScratch)
     s.u1.matmul_transpose_into(&s.u2, &mut s.s12); // s12[i][j] = u1_i · u2_j
     s.u1.syrk_into(&mut s.s11);
     s.u2.syrk_into(&mut s.s22);
-    s.s12.scale(inv_tau);
-    s.s11.scale(inv_tau);
-    s.s22.scale(inv_tau);
-    // Snapshot s21 = s12^T before the in-place row pass consumes s12.
+    // Snapshot s21 = s12^T before the in-place row pass consumes s12. The
+    // row pass scales by `inv_tau` itself: an elementwise scale commutes
+    // with the transpose, so these are the bits of scaling first.
     s.s12.transpose_into(&mut s.s21);
 
     let scale = 1.0 / (2 * n) as f32;
