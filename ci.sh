@@ -24,13 +24,6 @@
 #                                   the nn large-shape kernel pins (InfoNCE
 #                                   at 1024 and 784 anchors, GCN backward
 #                                   and transpose_matmul at 5,900 rows)
-#   3c. serial-path goldens       — the goldens, the loss-strategy goldens
-#                                   and the large-shape pins re-run with
-#                                   RAYON_NUM_THREADS=1, so the serial path
-#                                   reproduces the same committed tables as
-#                                   the default multi-thread run (the GEMMs
-#                                   fan out by work, and no fan-out may
-#                                   change a bit)
 #   4. grep lint                  — no .unwrap()/panic! in non-test library
 #                                   code of the crates that run training
 #                                   (use .expect("reason") or a TrainError)
@@ -164,15 +157,6 @@ E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl \
     --test golden_determinism --test loss_strategy_determinism \
     --test minibatch_equivalence --test resume_determinism
 E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl-nn --test large_shape_pins
-
-stage 3c "serial-path goldens: RAYON_NUM_THREADS=1 determinism suites"
-# Stage 3 ran on the default pool (one thread per core). The committed
-# tables do not depend on the thread count, so one worker must reproduce
-# them too: this catches a kernel whose bits depend on how its rows are
-# split between workers.
-RAYON_NUM_THREADS=1 cargo test -q --offline -p e2gcl \
-    --test golden_determinism --test loss_strategy_determinism
-RAYON_NUM_THREADS=1 cargo test -q --offline -p e2gcl-nn --test large_shape_pins
 
 stage 4 "lint: no .unwrap()/panic! in non-test library code"
 # Test modules in this codebase are trailing `#[cfg(test)] mod tests` blocks,

@@ -1,20 +1,17 @@
 //! Thread-count invariance of the dispatched GEMM kernels.
 //!
 //! Determinism contract (DESIGN.md §11, §16): every kernel must produce
-//! bitwise identical output regardless of `RAYON_NUM_THREADS`, on *each*
-//! dispatch path. The vendored rayon stand-in reads that variable once per
-//! process, so each (thread count, kernel config) pair needs its own
-//! process: the test re-execs its own binary as a child per combination,
-//! each child prints an FNV-1a fingerprint of the kernel outputs, and the
-//! parent asserts fingerprints match across thread counts within a config
-//! (and, on AVX2+FMA hosts, that the two configs legitimately differ —
-//! the per-path golden tables would be meaningless otherwise).
+//! bitwise identical output whatever the pool size, on *each* dispatch
+//! path. The test pins each path with `dispatch::with_path` and each pool
+//! size with rayon's `ThreadPool::install`, both in-process: the kernels
+//! below are top-level calls, which capture the path on the calling thread
+//! before they fan out. It asserts an FNV-1a fingerprint of the kernel
+//! outputs matches across pools of 1, 2 and 4 within a path (and, on
+//! AVX2+FMA hosts, that the two paths legitimately differ — the per-path
+//! golden tables would be meaningless otherwise).
 
 use e2gcl_linalg::hash::Fnv1a64;
-use e2gcl_linalg::{dispatch, Matrix, SeedRng};
-use std::process::Command;
-
-const CHILD_ENV: &str = "E2GCL_THREAD_INVARIANCE_CHILD";
+use e2gcl_linalg::{dispatch, DispatchPath, Matrix, SeedRng};
 
 fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = SeedRng::new(seed);
@@ -55,69 +52,36 @@ fn compute_fingerprint() -> u64 {
     fingerprint(&[&mm, &tm, &mt, &sy])
 }
 
-/// Fingerprint from a re-exec'd child pinned to (`config`, `threads`).
-fn child_fingerprint(exe: &std::path::Path, config: &str, threads: &str) -> String {
-    let out = Command::new(exe)
-        .arg("kernels_bitwise_invariant_across_thread_counts")
-        .arg("--exact")
-        .arg("--nocapture")
-        .env(CHILD_ENV, "1")
-        .env("RAYON_NUM_THREADS", threads)
-        .env(dispatch::CONFIG_ENV, config)
-        .output()
-        .expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "child ({config}, {threads} threads) failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // With --nocapture the marker can share a line with libtest output.
-    let at = stdout
-        .find("FP:")
-        .unwrap_or_else(|| panic!("no FP marker in child output: {stdout}"));
-    stdout[at + 3..at + 19].to_string()
-}
-
 #[test]
 fn kernels_bitwise_invariant_across_thread_counts() {
-    if std::env::var(CHILD_ENV).is_ok() {
-        println!("FP:{:016x}", compute_fingerprint());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut configs = vec!["scalar"];
+    let mut paths = vec![DispatchPath::Scalar];
     if dispatch::avx2_available() {
-        configs.push("avx2");
+        paths.push(DispatchPath::Avx2);
     }
-    let mut per_config = Vec::new();
-    for config in &configs {
-        let fp1 = child_fingerprint(&exe, config, "1");
-        let fp4 = child_fingerprint(&exe, config, "4");
-        assert_eq!(
-            fp1, fp4,
-            "[{config}] kernel output differs between RAYON_NUM_THREADS=1 and 4"
+    let mut per_path = Vec::new();
+    for &path in &paths {
+        let fps: Vec<u64> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("thread pool");
+                dispatch::with_path(path, || pool.install(compute_fingerprint))
+            })
+            .collect();
+        assert!(
+            fps.iter().all(|&fp| fp == fps[0]),
+            "[{path}] kernel output differs across pools of 1, 2 and 4: {fps:016x?}"
         );
-        per_config.push(fp1);
+        per_path.push(fps[0]);
     }
-    if per_config.len() == 2 {
+    if per_path.len() == 2 {
         // The two dispatch paths have different reduction contracts; if
         // they ever agreed the per-path golden split would be vestigial.
         assert_ne!(
-            per_config[0], per_config[1],
+            per_path[0], per_path[1],
             "scalar and avx2 paths produced identical bits on this workload"
         );
     }
-    // The in-process pool (whatever its size and the ambient config) must
-    // agree with the matching child config.
-    let here = format!("{:016x}", compute_fingerprint());
-    let ambient = match dispatch::current_path() {
-        dispatch::DispatchPath::Scalar => 0,
-        dispatch::DispatchPath::Avx2 => 1,
-    };
-    assert_eq!(
-        per_config[ambient.min(per_config.len() - 1)],
-        here,
-        "parent fingerprint differs from children"
-    );
 }

@@ -1,5 +1,6 @@
 //! Bit pins for the dense kernels at training-size shapes, per dispatch
-//! path, plus thread-count invariance by re-exec.
+//! path, checked in-process under rayon pools of 1, 2 and 4
+//! (`ThreadPool::install`).
 //!
 //! The end-to-end goldens train on graphs of ~135 nodes, so they never run
 //! a reduction longer than one row block of the AVX2 `transpose_matmul`
@@ -8,7 +9,8 @@
 //!
 //! * `info_nce_with` at 1024 and 784 anchors by 64 (loss bits, `d_z1`,
 //!   `d_z2`): the `syrk` mirror, `transpose_into`, `add_transpose_assign`,
-//!   `symmetrize_additive` and the n×n `transpose_matmul`;
+//!   `symmetrize_additive` and the n×n `transpose_matmul`, with every GEMM
+//!   of the pass split between workers on both paths;
 //! * `GcnEncoder::backward_with` weight gradients on a 5,900-node graph
 //!   at 100→128→64;
 //! * `transpose_matmul` of (5900×100)ᵀ·(5900×128).
@@ -27,9 +29,6 @@ use e2gcl_linalg::hash::Fnv1a64;
 use e2gcl_linalg::{DispatchPath, Matrix, SeedRng};
 use e2gcl_nn::loss::{info_nce_with, InfoNceScratch};
 use e2gcl_nn::{GcnEncoder, GcnWorkspace};
-use std::process::Command;
-
-const CHILD_ENV: &str = "E2GCL_NN_LARGE_SHAPE_PINS_CHILD";
 
 fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = SeedRng::new(seed);
@@ -126,18 +125,25 @@ const PINS_AVX2: &[(&str, u64)] = &[
 
 #[test]
 fn large_shape_pins_are_bit_stable_across_thread_counts() {
-    let pins = all_pins();
-    if std::env::var(CHILD_ENV).is_ok() {
-        for (name, fp) in &pins {
-            println!("FP:{name}={fp:016x}");
-        }
-        return;
-    }
+    let runs: Vec<Vec<(&str, u64)>> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool")
+                .install(all_pins)
+        })
+        .collect();
+    let pins = &runs[0];
     if std::env::var("GOLDEN_PRINT").is_ok() {
-        for (name, fp) in &pins {
+        for (name, fp) in pins {
             println!("    (\"{name}\", {fp:#018x}),");
         }
         return;
+    }
+    for (threads, run) in [2, 4].iter().zip(&runs[1..]) {
+        assert_eq!(run, pins, "a pool of {threads} disagrees with a pool of 1");
     }
     let (path_name, table) = match e2gcl_linalg::dispatch::current_path() {
         DispatchPath::Scalar => ("scalar", PINS_SCALAR),
@@ -156,28 +162,4 @@ fn large_shape_pins_are_bit_stable_across_thread_counts() {
         "large-shape pin drift:\n{}",
         drift.join("\n")
     );
-    let exe = std::env::current_exe().expect("test binary path");
-    for threads in ["1", "2"] {
-        let out = Command::new(&exe)
-            .arg("large_shape_pins_are_bit_stable_across_thread_counts")
-            .arg("--exact")
-            .arg("--nocapture")
-            .env(CHILD_ENV, "1")
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            out.status.success(),
-            "child with {threads} threads failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        for (name, fp) in &pins {
-            let marker = format!("FP:{name}={fp:016x}");
-            assert!(
-                stdout.contains(&marker),
-                "{name}: child with {threads} threads disagrees (want {marker}):\n{stdout}"
-            );
-        }
-    }
 }

@@ -1,79 +1,18 @@
-//! Thread-count invariance of the parallel InfoNCE path.
+//! Thread-count invariance of the sub-quadratic contrastive losses.
 //!
-//! Same re-exec pattern as the linalg `thread_invariance` test: the rayon
-//! stand-in fixes its pool size per process, so the test spawns one child
-//! per `RAYON_NUM_THREADS` setting and compares fingerprints of the loss
-//! and both gradients.
+//! The test fingerprints the losses and both gradients in-process under
+//! rayon pools of 1, 2 and 4 (`ThreadPool::install`) and asserts they
+//! match. The full InfoNCE kernel is covered at training-size shapes by
+//! `large_shape_pins.rs`, which checks the same pools against its pins.
 
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::hash::Fnv1a64;
 use e2gcl_linalg::{Matrix, SeedRng};
-use e2gcl_nn::loss::{info_nce_with, InfoNceScratch};
 use e2gcl_nn::{ContrastiveLoss, LocalizedInfoNce, Neighborhoods, SmallNegInfoNce};
-use std::process::Command;
-
-const CHILD_ENV: &str = "E2GCL_NN_THREAD_INVARIANCE_CHILD";
-const SUBQ_CHILD_ENV: &str = "E2GCL_NN_SUBQ_THREAD_INVARIANCE_CHILD";
 
 fn dense(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = SeedRng::new(seed);
     Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| rng.normal()).collect())
-}
-
-/// 600 anchors: enough rows/row-tiles that every parallel stage of
-/// `info_nce_with` (normalisation, the NT-Xent row pass, the gradient
-/// GEMMs) fans out on a multi-thread pool.
-fn compute_fingerprint() -> u64 {
-    let z1 = dense(600, 16, 40);
-    let z2 = dense(600, 16, 41);
-    let mut s = InfoNceScratch::default();
-    let loss = info_nce_with(&z1, &z2, 0.5, &mut s);
-    let mut h = Fnv1a64::new();
-    h.write_f32(loss);
-    for &v in s.d_z1().as_slice() {
-        h.write_f32(v);
-    }
-    for &v in s.d_z2().as_slice() {
-        h.write_f32(v);
-    }
-    h.finish()
-}
-
-#[test]
-fn info_nce_bitwise_invariant_across_thread_counts() {
-    if std::env::var(CHILD_ENV).is_ok() {
-        println!("FP:{:016x}", compute_fingerprint());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut fps = Vec::new();
-    for threads in ["1", "4"] {
-        let out = Command::new(&exe)
-            .arg("info_nce_bitwise_invariant_across_thread_counts")
-            .arg("--exact")
-            .arg("--nocapture")
-            .env(CHILD_ENV, "1")
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            out.status.success(),
-            "child with {threads} threads failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        // With --nocapture the marker can share a line with libtest output.
-        let at = stdout
-            .find("FP:")
-            .unwrap_or_else(|| panic!("no FP marker in child output: {stdout}"));
-        fps.push(stdout[at + 3..at + 19].to_string());
-    }
-    assert_eq!(
-        fps[0], fps[1],
-        "info_nce output differs between RAYON_NUM_THREADS=1 and 4"
-    );
-    let here = format!("{:016x}", compute_fingerprint());
-    assert_eq!(fps[0], here, "parent fingerprint differs from children");
 }
 
 fn hash_strategy(h: &mut Fnv1a64, loss: f32, strat: &dyn ContrastiveLoss) {
@@ -86,8 +25,8 @@ fn hash_strategy(h: &mut Fnv1a64, loss: f32, strat: &dyn ContrastiveLoss) {
     }
 }
 
-/// 600 anchors again, but through the sub-quadratic kernels on their
-/// *general* paths: small-neg with k = 96 < n (fused select/GEMM/scatter
+/// 600 anchors through the sub-quadratic kernels on their *general*
+/// paths: small-neg with k = 96 < n (fused select/GEMM/scatter
 /// backward) and localized on a ring graph with 2-hop neighbourhoods
 /// (sparse softmax, per-anchor parallel pass 1, per-row parallel pass 2).
 fn subq_fingerprint() -> u64 {
@@ -109,36 +48,18 @@ fn subq_fingerprint() -> u64 {
 
 #[test]
 fn sub_quadratic_losses_bitwise_invariant_across_thread_counts() {
-    if std::env::var(SUBQ_CHILD_ENV).is_ok() {
-        println!("FP:{:016x}", subq_fingerprint());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut fps = Vec::new();
-    for threads in ["1", "4"] {
-        let out = Command::new(&exe)
-            .arg("sub_quadratic_losses_bitwise_invariant_across_thread_counts")
-            .arg("--exact")
-            .arg("--nocapture")
-            .env(SUBQ_CHILD_ENV, "1")
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            out.status.success(),
-            "child with {threads} threads failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let at = stdout
-            .find("FP:")
-            .unwrap_or_else(|| panic!("no FP marker in child output: {stdout}"));
-        fps.push(stdout[at + 3..at + 19].to_string());
-    }
-    assert_eq!(
-        fps[0], fps[1],
-        "sub-quadratic loss output differs between RAYON_NUM_THREADS=1 and 4"
+    let fps: Vec<u64> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool")
+                .install(subq_fingerprint)
+        })
+        .collect();
+    assert!(
+        fps.iter().all(|&fp| fp == fps[0]),
+        "sub-quadratic loss output differs across pools of 1, 2 and 4: {fps:016x?}"
     );
-    let here = format!("{:016x}", subq_fingerprint());
-    assert_eq!(fps[0], here, "parent fingerprint differs from children");
 }

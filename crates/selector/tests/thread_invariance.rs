@@ -2,18 +2,14 @@
 //!
 //! The sub-quadratic loss strategies re-run `select_from_aggregate` every
 //! epoch on current embeddings, so the selection itself must be bitwise
-//! reproducible across `RAYON_NUM_THREADS`. The gain argmax tie-breaks on
-//! the lowest node id and the rayon stand-in reduces sequentially in item
-//! order; this test pins both by re-exec'ing itself under different pool
-//! sizes (same pattern as the linalg/nn `thread_invariance` tests — the
-//! pool size is fixed per process).
+//! reproducible whatever the pool size. The gain argmax tie-breaks on the
+//! lowest node id and the rayon stand-in reduces sequentially in item
+//! order; this test pins both by selecting in-process under rayon pools of
+//! 1, 2 and 4 (`ThreadPool::install`).
 
 use e2gcl_linalg::hash::Fnv1a64;
 use e2gcl_linalg::{Matrix, SeedRng};
 use e2gcl_selector::greedy::{GreedyConfig, GreedySelector};
-use std::process::Command;
-
-const CHILD_ENV: &str = "E2GCL_SELECTOR_THREAD_INVARIANCE_CHILD";
 
 /// Large enough that `step_work` crosses the selector's parallel-gains
 /// threshold (4M): n_s ≈ max(n/k·3, 32) candidates × (avg cluster × dim).
@@ -41,37 +37,18 @@ fn compute_fingerprint() -> u64 {
 
 #[test]
 fn greedy_selection_bitwise_invariant_across_thread_counts() {
-    if std::env::var(CHILD_ENV).is_ok() {
-        println!("FP:{:016x}", compute_fingerprint());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut fps = Vec::new();
-    for threads in ["1", "4"] {
-        let out = Command::new(&exe)
-            .arg("greedy_selection_bitwise_invariant_across_thread_counts")
-            .arg("--exact")
-            .arg("--nocapture")
-            .env(CHILD_ENV, "1")
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            out.status.success(),
-            "child with {threads} threads failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        // With --nocapture the marker can share a line with libtest output.
-        let at = stdout
-            .find("FP:")
-            .unwrap_or_else(|| panic!("no FP marker in child output: {stdout}"));
-        fps.push(stdout[at + 3..at + 19].to_string());
-    }
-    assert_eq!(
-        fps[0], fps[1],
-        "greedy selection differs between RAYON_NUM_THREADS=1 and 4"
+    let fps: Vec<u64> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool")
+                .install(compute_fingerprint)
+        })
+        .collect();
+    assert!(
+        fps.iter().all(|&fp| fp == fps[0]),
+        "greedy selection differs across pools of 1, 2 and 4: {fps:016x?}"
     );
-    let here = format!("{:016x}", compute_fingerprint());
-    assert_eq!(fps[0], here, "parent fingerprint differs from children");
 }

@@ -15,9 +15,8 @@
 //!
 //! # Determinism contract
 //!
-//! Construction is **bitwise reproducible** across runs and
-//! `RAYON_NUM_THREADS` settings, extending the PR 4 kernel contract
-//! (DESIGN.md §11) to index builds:
+//! Construction is **bitwise reproducible** across runs and pool sizes,
+//! extending the kernel contract (DESIGN.md §11) to index builds:
 //!
 //! * all randomness flows from one [`SeedRng`] seeded by
 //!   [`IvfConfig::seed`], consumed in a fixed sequential order;
@@ -27,9 +26,8 @@
 //! * centroid updates, empty-list reseeding and inverted-list layout are
 //!   sequential; node ids are ascending within every list by construction.
 //!
-//! `tests/index_determinism.rs` re-executes the build in subprocesses
-//! under different thread counts and compares [`IvfIndex::to_bytes`]
-//! fingerprints.
+//! `tests/index_determinism.rs` repeats the build under rayon pools of 1,
+//! 2 and 4 and compares [`IvfIndex::to_bytes`] fingerprints.
 //!
 //! # On-disk layout (version 1)
 //!

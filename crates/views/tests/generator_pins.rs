@@ -6,19 +6,16 @@
 //! `NodeDataset::generate` (`dc_sbm_with_confusion`'s weighted draws) are
 //! fingerprinted with FNV-1a and compared against recorded values, so any
 //! change to their RNG order or float arithmetic shows up here before it
-//! moves a training golden. The test re-executes itself under
-//! `RAYON_NUM_THREADS=1` and `=2` (the pool size is fixed per process) and
-//! requires identical pins, because candidate collection and global-view
-//! sampling fan out over nodes.
+//! moves a training golden. The test computes the pins in-process under
+//! rayon pools of 1, 2 and 4 (`ThreadPool::install`) and requires identical
+//! pins, because candidate collection and global-view sampling fan out
+//! over nodes.
 
 use e2gcl_datasets::{registry, NodeDataset};
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::hash::Fnv1a64;
 use e2gcl_linalg::{Matrix, SeedRng};
 use e2gcl_views::{ViewConfig, ViewGenerator};
-use std::process::Command;
-
-const CHILD_ENV: &str = "E2GCL_GENERATOR_PINS_CHILD";
 
 /// Recorded pins, one per label of [`compute_pins`].
 const PINS: &[(&str, u64)] = &[
@@ -130,46 +127,22 @@ fn compute_pins() -> Vec<(String, u64)> {
 
 #[test]
 fn generator_pins_hold_across_thread_counts() {
-    if std::env::var(CHILD_ENV).is_ok() {
-        for (label, pin) in compute_pins() {
-            println!("PIN {label} {pin:016x}");
-        }
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut runs = Vec::new();
-    for threads in ["1", "2"] {
-        let out = Command::new(&exe)
-            .arg("generator_pins_hold_across_thread_counts")
-            .arg("--exact")
-            .arg("--nocapture")
-            .env(CHILD_ENV, "1")
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            out.status.success(),
-            "child with {threads} threads failed: {}",
-            String::from_utf8_lossy(&out.stderr)
+    let runs: Vec<Vec<(String, u64)>> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool")
+                .install(compute_pins)
+        })
+        .collect();
+    for (threads, run) in [2, 4].iter().zip(&runs[1..]) {
+        assert_eq!(
+            run, &runs[0],
+            "pins differ between pools of 1 and {threads}"
         );
-        // With --nocapture a marker can share a line with libtest output.
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let pins: Vec<(String, u64)> = stdout
-            .split("PIN ")
-            .skip(1)
-            .map(|rest| {
-                let mut it = rest.split_whitespace();
-                let label = it.next().expect("pin label").to_string();
-                let hex = it.next().expect("pin value");
-                (label, u64::from_str_radix(hex, 16).expect("hex pin"))
-            })
-            .collect();
-        runs.push(pins);
     }
-    assert_eq!(
-        runs[0], runs[1],
-        "pins differ between RAYON_NUM_THREADS=1 and 2"
-    );
     let want: Vec<(String, u64)> = PINS.iter().map(|&(l, p)| (l.to_string(), p)).collect();
     let shown: Vec<String> = runs[0]
         .iter()

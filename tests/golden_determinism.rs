@@ -9,11 +9,12 @@
 //!
 //! Fingerprints are **per dispatch path** (DESIGN.md §16): the scalar
 //! blocked kernels and the AVX2+FMA kernels each have a fixed element-level
-//! reduction contract, bit-identical run-to-run and across
-//! `RAYON_NUM_THREADS`, but the two contracts differ (8 fused lanes vs. 4
-//! unfused). The test validates against the table matching the *active*
-//! dispatch path — it never regenerates silently, and an unlisted path is
-//! a hard failure.
+//! reduction contract, bit-identical run-to-run and across pool sizes, but
+//! the two contracts differ (8 fused lanes vs. 4 unfused). The test
+//! validates against the table matching the *active* dispatch path — it
+//! never regenerates silently, and an unlisted path is a hard failure —
+//! once under a rayon pool of 1 (the serial path) and once under a pool of
+//! 2 (`ThreadPool::install`), so both reproduce the same table.
 //!
 //! To (re)record after an intentional numeric change, run (per path):
 //!
@@ -176,35 +177,52 @@ fn golden_for_active_path() -> (&'static str, &'static [(&'static str, u64)]) {
     }
 }
 
+/// Every case's fingerprint, trained on `data`.
+fn all_fingerprints(data: &NodeDataset) -> Vec<(&'static str, u64)> {
+    cases()
+        .into_iter()
+        .map(|(name, model, with_checkpoints)| {
+            let cfg = TrainConfig {
+                checkpoint_every: if with_checkpoints { Some(2) } else { None },
+                ..tiny_cfg()
+            };
+            let out = model
+                .pretrain(&data.graph, &data.features, &cfg, &mut SeedRng::new(7))
+                .unwrap_or_else(|e| panic!("{name}: pretrain failed: {e}"));
+            (name, fingerprint(&out))
+        })
+        .collect()
+}
+
 #[test]
 fn pretrain_fingerprints_are_bit_stable() {
     let data = NodeDataset::generate(&spec("cora-sim").expect("spec"), 0.05, 0);
     let print_mode = std::env::var("GOLDEN_PRINT").is_ok();
     let (path_name, golden) = golden_for_active_path();
     let mut failures = Vec::new();
-    for (name, model, with_checkpoints) in cases() {
-        let cfg = TrainConfig {
-            checkpoint_every: if with_checkpoints { Some(2) } else { None },
-            ..tiny_cfg()
-        };
-        let mut rng = SeedRng::new(7);
-        let out = model
-            .pretrain(&data.graph, &data.features, &cfg, &mut rng)
-            .unwrap_or_else(|e| panic!("{name}: pretrain failed: {e}"));
-        let fp = fingerprint(&out);
+    for threads in [1, 2] {
+        let fps = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+            .install(|| all_fingerprints(&data));
         if print_mode {
-            println!("    (\"{name}\", {fp:#018x}),");
-            continue;
+            for (name, fp) in &fps {
+                println!("    (\"{name}\", {fp:#018x}),");
+            }
+            return;
         }
-        let expected = golden
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("{name}: missing golden entry for path {path_name}"))
-            .1;
-        if fp != expected {
-            failures.push(format!(
-                "{name} [{path_name}]: got {fp:#018x}, golden {expected:#018x}"
-            ));
+        for (name, fp) in fps {
+            let expected = golden
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("{name}: missing golden entry for path {path_name}"))
+                .1;
+            if fp != expected {
+                failures.push(format!(
+                    "{name} [{path_name}, pool of {threads}]: got {fp:#018x}, golden {expected:#018x}"
+                ));
+            }
         }
     }
     assert!(

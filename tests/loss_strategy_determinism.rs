@@ -3,15 +3,13 @@
 //!
 //! The default `LossStrategy::Full` path is pinned by
 //! `golden_determinism.rs`; this file pins the `smallneg`/`localized`
-//! training paths the same way AND proves each run is bit-identical across
-//! `RAYON_NUM_THREADS` by re-exec'ing itself under different pool sizes
-//! (the rayon stand-in fixes its pool per process).
+//! training paths the same way AND proves each run is bit-identical
+//! whatever the pool size, by training in-process under rayon pools of 1,
+//! 2 and 4 (`ThreadPool::install`).
 //!
 //! Fingerprints are **per dispatch path** (DESIGN.md §16), like
 //! `golden_determinism.rs`: the table matching the active kernel path is
-//! validated, never silently regenerated. The re-exec children inherit
-//! `E2GCL_KERNEL_CONFIG`, so thread-invariance is proven for the same
-//! dispatched kernels the parent ran.
+//! validated, never silently regenerated.
 //!
 //! To (re)record after an intentional numeric change, run (per path):
 //!
@@ -23,12 +21,9 @@
 use e2gcl::durable::Fnv1a64;
 use e2gcl::models::grace::GraceModel;
 use e2gcl::prelude::*;
-use std::process::Command;
 
 mod common;
 use common::hash_matrix;
-
-const CHILD_ENV: &str = "E2GCL_LOSS_STRATEGY_DETERMINISM_CHILD";
 
 /// Like `common::fingerprint` but without the checkpoint count: the goldens
 /// below were recorded without it.
@@ -207,23 +202,30 @@ fn all_fingerprints() -> Vec<(&'static str, u64)> {
 
 #[test]
 fn strategy_fingerprints_are_bit_stable_across_thread_counts() {
-    let fps = all_fingerprints();
-    if std::env::var(CHILD_ENV).is_ok() {
-        for (name, fp) in &fps {
-            println!("FP:{name}={fp:016x}");
-        }
-        return;
-    }
+    let runs: Vec<Vec<(&str, u64)>> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool")
+                .install(all_fingerprints)
+        })
+        .collect();
+    let fps = &runs[0];
     if std::env::var("GOLDEN_PRINT").is_ok() {
-        for (name, fp) in &fps {
+        for (name, fp) in fps {
             println!("    (\"{name}\", {fp:#018x}),");
         }
         return;
     }
-    // Golden pin (this process), against the active dispatch path's table.
+    for (threads, run) in [2, 4].iter().zip(&runs[1..]) {
+        assert_eq!(run, fps, "a pool of {threads} disagrees with a pool of 1");
+    }
+    // Golden pin, against the active dispatch path's table.
     let (path_name, golden) = golden_for_active_path();
     let mut failures = Vec::new();
-    for (name, fp) in &fps {
+    for (name, fp) in fps {
         let expected = golden
             .iter()
             .find(|(n, _)| n == name)
@@ -240,30 +242,4 @@ fn strategy_fingerprints_are_bit_stable_across_thread_counts() {
         "strategy fingerprint drift:\n{}",
         failures.join("\n")
     );
-    // Thread invariance (child processes with forced pool sizes).
-    let exe = std::env::current_exe().expect("test binary path");
-    for threads in ["1", "4"] {
-        let out = Command::new(&exe)
-            .arg("strategy_fingerprints_are_bit_stable_across_thread_counts")
-            .arg("--exact")
-            .arg("--nocapture")
-            .env(CHILD_ENV, "1")
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn child test process");
-        assert!(
-            out.status.success(),
-            "child with {threads} threads failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        for (name, fp) in &fps {
-            let marker = format!("FP:{name}={fp:016x}");
-            assert!(
-                stdout.contains(&marker),
-                "{name} differs under RAYON_NUM_THREADS={threads}; \
-                 expected {marker} in:\n{stdout}"
-            );
-        }
-    }
 }
